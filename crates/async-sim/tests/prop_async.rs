@@ -60,8 +60,14 @@ proptest! {
         let mut src = (1usize, |_: &[f32], step: u64| (0.0f32, vec![step as f32]));
         struct Recorder(Vec<f32>);
         impl Optimizer for Recorder {
-            fn observe(&mut self, _p: &[f32], g: &[f32]) -> yf_optim::Hyper {
-                self.0.push(g[0]);
+            fn combine(
+                &mut self,
+                _p: &[f32],
+                g: &[f32],
+                _: Vec<yf_optim::StatsPartial>,
+                grad_scale: f32,
+            ) -> yf_optim::Hyper {
+                self.0.push(grad_scale * g[0]);
                 yf_optim::Hyper::default()
             }
             fn step_shard(

@@ -153,8 +153,7 @@ impl Graph {
             } => {
                 // d loss / d logit = (softmax - onehot) / B, scaled by the
                 // upstream scalar gradient.
-                let dl =
-                    norm::softmax_xent_backward(&probs, &targets, grad.data()[0], self.threads);
+                let dl = norm::softmax_xent_backward(&probs, &targets, grad.data()[0], self.par);
                 self.accumulate(logits, &dl);
             }
             Op::Embedding { weight, ids } => {
@@ -189,7 +188,7 @@ impl Graph {
                         &grad,
                         spec,
                         &mut scratch,
-                        self.threads,
+                        self.par,
                     );
                     self.accumulate(input, &di);
                 }
@@ -203,7 +202,7 @@ impl Graph {
                         spec,
                         &mut scratch,
                         cols.as_ref(),
-                        self.threads,
+                        self.par,
                     );
                     self.accumulate(weight, &dw);
                 }
@@ -220,7 +219,7 @@ impl Graph {
                     self.value(gamma),
                     &saved,
                     &grad,
-                    self.threads,
+                    self.par,
                 );
                 self.accumulate(input, &dx);
                 self.accumulate(gamma, &dgamma);
@@ -228,7 +227,7 @@ impl Graph {
             }
             Op::MaxPool2x2 { input, argmax } => {
                 let shape = self.value(input).shape().to_vec();
-                let dx = norm::max_pool2x2_backward(&shape, &argmax, &grad, self.threads);
+                let dx = norm::max_pool2x2_backward(&shape, &argmax, &grad, self.par);
                 self.accumulate(input, &dx);
             }
             Op::LayerNorm {
@@ -242,7 +241,7 @@ impl Graph {
                     self.value(gamma),
                     &stats,
                     &grad,
-                    self.threads,
+                    self.par,
                 );
                 self.accumulate(input, &dx);
                 self.accumulate(gamma, &dgamma);
@@ -250,7 +249,7 @@ impl Graph {
             }
             Op::GlobalAvgPool(x) => {
                 let shape = self.value(x).shape().to_vec();
-                let dx = norm::global_avg_pool_backward(&shape, &grad, self.threads);
+                let dx = norm::global_avg_pool_backward(&shape, &grad, self.par);
                 self.accumulate(x, &dx);
             }
         }

@@ -224,7 +224,7 @@ fn cache_budget_elems() -> usize {
 /// (parallel across channel rows).
 fn gather_batched(src: &[f32], b: usize, c: usize, owo: usize, dst: &mut [f32], threads: usize) {
     let bcols = b * owo;
-    parallel::chunks_mut(dst, bcols, threads, |first, chunk| {
+    parallel::chunks_mut(dst, bcols, Par::threads(threads), |first, chunk| {
         for (o, row) in chunk.chunks_exact_mut(bcols).enumerate() {
             let ch = first + o;
             for bi in 0..b {
@@ -238,7 +238,7 @@ fn gather_batched(src: &[f32], b: usize, c: usize, owo: usize, dst: &mut [f32], 
 /// (parallel across output planes).
 fn scatter_batched(src: &[f32], b: usize, c: usize, owo: usize, dst: &mut [f32], threads: usize) {
     let bcols = b * owo;
-    parallel::chunks_mut(dst, owo, threads, |first, chunk| {
+    parallel::chunks_mut(dst, owo, Par::threads(threads), |first, chunk| {
         for (p, plane) in chunk.chunks_exact_mut(owo).enumerate() {
             let idx = first + p;
             let (bi, ch) = (idx / c, idx % c);
@@ -289,9 +289,9 @@ pub fn conv2d_forward_caching_with_par(
     weight: &Tensor,
     spec: ConvSpec,
     scratch: &mut Scratch,
-    par: impl Into<Par>,
+    par: Par,
 ) -> (Tensor, Option<ColumnCache>) {
-    forward_impl(input, weight, spec, scratch, true, par.into().budget())
+    forward_impl(input, weight, spec, scratch, true, par.budget())
 }
 
 /// [`conv2d_forward_with_scratch`] with an explicit [`Par`] budget.
@@ -300,9 +300,9 @@ pub fn conv2d_forward_with_par(
     weight: &Tensor,
     spec: ConvSpec,
     scratch: &mut Scratch,
-    par: impl Into<Par>,
+    par: Par,
 ) -> Tensor {
-    forward_impl(input, weight, spec, scratch, false, par.into().budget()).0
+    forward_impl(input, weight, spec, scratch, false, par.budget()).0
 }
 
 fn forward_impl(
@@ -432,9 +432,9 @@ pub fn conv2d_backward_input_with_par(
     grad_out: &Tensor,
     spec: ConvSpec,
     scratch: &mut Scratch,
-    par: impl Into<Par>,
+    par: Par,
 ) -> Tensor {
-    let threads = par.into().budget();
+    let threads = par.budget();
     let d = ConvDims::new(input_shape, weight.shape(), spec);
     debug_assert_eq!(grad_out.shape(), &[d.b, d.cout, d.ho, d.wo]);
     let mut dx = vec![0.0f32; d.b * d.cin * d.cs.h * d.cs.w];
@@ -572,9 +572,9 @@ pub fn conv2d_backward_weight_with_par(
     spec: ConvSpec,
     scratch: &mut Scratch,
     cache: Option<&ColumnCache>,
-    par: impl Into<Par>,
+    par: Par,
 ) -> Tensor {
-    let threads = par.into().budget();
+    let threads = par.budget();
     let d = ConvDims::new(input.shape(), weight_shape, spec);
     debug_assert_eq!(grad_out.shape(), &[d.b, d.cout, d.ho, d.wo]);
     let mut dw = vec![0.0f32; d.cout * d.ckk];

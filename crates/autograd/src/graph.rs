@@ -2,6 +2,7 @@
 
 use crate::conv::{ColumnCache, ConvSpec};
 use crate::norm::{self, BnSaved};
+use yf_tensor::parallel::Par;
 use yf_tensor::Tensor;
 
 /// Identifier of a node on a [`Graph`] tape.
@@ -105,9 +106,9 @@ pub struct Graph {
     /// Reusable column/packing buffers threaded through the conv kernels,
     /// so repeated forward/backward passes stop allocating per op.
     pub(crate) scratch: yf_tensor::Scratch,
-    /// Thread budget handed to the parallel kernels (norms, softmax,
-    /// pooling, unrolls). Defaults to the machine width; tests pin it.
-    pub(crate) threads: usize,
+    /// Chunk budget handed to the parallel kernels (norms, softmax,
+    /// pooling, unrolls). Defaults to the pool width; tests pin it.
+    pub(crate) par: Par,
 }
 
 impl Default for Graph {
@@ -115,7 +116,7 @@ impl Default for Graph {
         Graph {
             nodes: Vec::new(),
             scratch: yf_tensor::Scratch::default(),
-            threads: yf_tensor::parallel::num_threads(),
+            par: Par::pool(),
         }
     }
 }
@@ -131,7 +132,7 @@ impl Graph {
     /// use this to validate the kernels at 1 and N threads; kernels still
     /// gate small tensors down to one thread themselves.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.par = Par::threads(threads);
     }
 
     /// Number of recorded nodes.
@@ -346,7 +347,7 @@ impl Graph {
     /// Panics if `targets.len()` differs from the batch size or a target is
     /// out of range.
     pub fn softmax_cross_entropy(&mut self, logits: NodeId, targets: &[usize]) -> NodeId {
-        let (loss, probs) = norm::softmax_xent_forward(self.value(logits), targets, self.threads);
+        let (loss, probs) = norm::softmax_xent_forward(self.value(logits), targets, self.par);
         let value = Tensor::scalar(loss);
         let op = Op::SoftmaxCrossEntropy {
             logits,
@@ -392,7 +393,7 @@ impl Graph {
                 self.value(weight),
                 spec,
                 &mut scratch,
-                self.threads,
+                self.par,
             )
         } else {
             let v = crate::conv::conv2d_forward_with_par(
@@ -400,7 +401,7 @@ impl Graph {
                 self.value(weight),
                 spec,
                 &mut scratch,
-                self.threads,
+                self.par,
             );
             (v, None)
         };
@@ -426,7 +427,7 @@ impl Graph {
             self.value(gamma),
             self.value(beta),
             eps,
-            self.threads,
+            self.par,
         );
         let rg = self.rg(input) || self.rg(gamma) || self.rg(beta);
         self.push(
@@ -443,7 +444,7 @@ impl Graph {
 
     /// Spatial mean pooling `[B, C, H, W] -> [B, C]`.
     pub fn global_avg_pool(&mut self, x: NodeId) -> NodeId {
-        let v = norm::global_avg_pool_forward(self.value(x), self.threads);
+        let v = norm::global_avg_pool_forward(self.value(x), self.par);
         self.unary(Op::GlobalAvgPool(x), x, v)
     }
 
@@ -453,7 +454,7 @@ impl Graph {
     ///
     /// Panics unless the input is rank 4 with even spatial extents.
     pub fn max_pool_2x2(&mut self, input: NodeId) -> NodeId {
-        let (v, argmax) = norm::max_pool2x2_forward(self.value(input), self.threads);
+        let (v, argmax) = norm::max_pool2x2_forward(self.value(input), self.par);
         self.unary(Op::MaxPool2x2 { input, argmax }, input, v)
     }
 
@@ -465,7 +466,7 @@ impl Graph {
             self.value(gamma),
             self.value(beta),
             eps,
-            self.threads,
+            self.par,
         );
         let rg = self.rg(input) || self.rg(gamma) || self.rg(beta);
         self.push(

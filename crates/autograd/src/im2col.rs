@@ -34,6 +34,7 @@
 use crate::conv::ConvSpec;
 use yf_tensor::elementwise::{copy_short, zero_short};
 use yf_tensor::gemm::PackBPanel;
+use yf_tensor::parallel::{chunks_mut, Par};
 
 /// Geometry of one channel plane's column unroll, shared by the three
 /// conv kernels.
@@ -279,7 +280,7 @@ pub(crate) fn im2col_batched(x: &[f32], g: BatchGeom, cols: &mut [f32], threads:
     debug_assert_eq!(cols.len(), g.rows() * g.bcols());
     let owo = g.cs.cols();
     let row_len = g.bcols();
-    yf_tensor::parallel::chunks_mut(cols, row_len, threads, |first_row, chunk| {
+    chunks_mut(cols, row_len, Par::threads(threads), |first_row, chunk| {
         for (r_off, row) in chunk.chunks_exact_mut(row_len).enumerate() {
             let t = g.tap_info(first_row + r_off);
             for bi in 0..g.b {
@@ -446,7 +447,8 @@ pub(crate) fn col2im_batched(cols: &[f32], g: BatchGeom, dx: &mut [f32], threads
     let owo = g.cs.cols();
     let row_len = g.bcols();
     let taps = g.cs.kh * g.cs.kw;
-    yf_tensor::parallel::chunks_mut(dx, plane_len, threads, |first_plane, chunk| {
+    let par = Par::threads(threads);
+    chunks_mut(dx, plane_len, par, |first_plane, chunk| {
         for (p_off, plane) in chunk.chunks_exact_mut(plane_len).enumerate() {
             let p = first_plane + p_off;
             let (bi, ic) = (p / g.cin, p % g.cin);

@@ -63,7 +63,7 @@ pub fn batch_norm_forward(
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
-    par: impl Into<Par>,
+    par: Par,
 ) -> (Tensor, BnSaved) {
     assert_eq!(x.shape().len(), 4, "batch_norm: input must be rank 4");
     let (b, c, h, w) = dims4(x);
@@ -72,7 +72,7 @@ pub fn batch_norm_forward(
     let hw = h * w;
     let n = (b * hw) as f64;
     let xd = x.data();
-    let t = par.into().chunks_for(x.len());
+    let t = Par::threads(par.chunks_for(x.len()));
     // Fused single-pass statistics: one sweep per channel accumulates sum
     // and sum-of-squares in f64, each channel owned by one worker.
     let mut stats = vec![(0.0f32, 0.0f32); c];
@@ -118,13 +118,13 @@ pub fn batch_norm_backward(
     gamma: &Tensor,
     saved: &BnSaved,
     grad_out: &Tensor,
-    par: impl Into<Par>,
+    par: Par,
 ) -> (Tensor, Tensor, Tensor) {
     let (b, c, h, w) = dims4(x);
     let hw = h * w;
     let n = (b * hw) as f32;
     let (xd, god) = (x.data(), grad_out.data());
-    let t = par.into().chunks_for(x.len());
+    let t = Par::threads(par.chunks_for(x.len()));
     // Fused per-channel reduction of (sum dy, sum dy*x_hat), one worker
     // per block of channels, batch-major accumulation order.
     let mut sums = vec![(0.0f32, 0.0f32); c];
@@ -181,14 +181,14 @@ pub fn layer_norm_forward(
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
-    par: impl Into<Par>,
+    par: Par,
 ) -> (Tensor, Vec<(f32, f32)>) {
     assert_eq!(x.shape().len(), 2, "layer_norm: input must be rank 2");
     let (b, n) = (x.shape()[0], x.shape()[1]);
     assert_eq!(gamma.shape(), &[n], "layer_norm: gamma must be [N]");
     assert_eq!(beta.shape(), &[n], "layer_norm: beta must be [N]");
     let (xd, gd, bd) = (x.data(), gamma.data(), beta.data());
-    let t = par.into().chunks_for(x.len());
+    let t = Par::threads(par.chunks_for(x.len()));
     let mut out = vec![0.0f32; b * n];
     let mut stats = vec![(0.0f32, 0.0f32); b];
     // One pass: each worker owns a block of rows and produces both the
@@ -214,11 +214,11 @@ pub fn layer_norm_backward(
     gamma: &Tensor,
     stats: &[(f32, f32)],
     grad_out: &Tensor,
-    par: impl Into<Par>,
+    par: Par,
 ) -> (Tensor, Tensor, Tensor) {
     let (b, n) = (x.shape()[0], x.shape()[1]);
     let (xd, gd, god) = (x.data(), gamma.data(), grad_out.data());
-    let t = par.into().chunks_for(x.len());
+    let t = Par::threads(par.chunks_for(x.len()));
     // dx: one worker per block of rows, each row's two reductions
     // computed in-worker (same order as the scalar loop).
     let mut dx = vec![0.0f32; b * n];
@@ -276,11 +276,7 @@ pub fn layer_norm_backward(
 ///
 /// Panics if `targets.len()` differs from the batch size or a target is
 /// out of range.
-pub fn softmax_xent_forward(
-    logits: &Tensor,
-    targets: &[usize],
-    par: impl Into<Par>,
-) -> (f32, Tensor) {
+pub fn softmax_xent_forward(logits: &Tensor, targets: &[usize], par: Par) -> (f32, Tensor) {
     assert_eq!(
         logits.shape().len(),
         2,
@@ -292,7 +288,7 @@ pub fn softmax_xent_forward(
         assert!(t < k, "softmax_xent: target {t} out of range {k} (row {r})");
     }
     let ld = logits.data();
-    let t = par.into().chunks_for(logits.len());
+    let t = Par::threads(par.chunks_for(logits.len()));
     let mut probs = vec![0.0f32; b * k];
     chunks_mut(&mut probs, k, t, |first, chunk| {
         for (r_off, prow) in chunk.chunks_exact_mut(k).enumerate() {
@@ -320,17 +316,12 @@ pub fn softmax_xent_forward(
 
 /// Softmax-cross-entropy backward: `d loss / d logit = upstream *
 /// (softmax - onehot) / B`, parallel over rows.
-pub fn softmax_xent_backward(
-    probs: &Tensor,
-    targets: &[usize],
-    upstream: f32,
-    par: impl Into<Par>,
-) -> Tensor {
+pub fn softmax_xent_backward(probs: &Tensor, targets: &[usize], upstream: f32, par: Par) -> Tensor {
     let (b, k) = (probs.shape()[0], probs.shape()[1]);
     let pd = probs.data();
     let scale = upstream / b as f32;
-    let t = par.into().chunks_for(probs.len());
-    if t <= 1 {
+    let t = Par::threads(par.chunks_for(probs.len()));
+    if t.budget() <= 1 {
         // Serial fast path: build the buffer in one pass (no zero
         // prefill), then fix the target elements. Bitwise identical to
         // the parallel path below.
@@ -364,14 +355,14 @@ pub fn softmax_xent_backward(
 /// # Panics
 ///
 /// Panics unless the input is rank 4 with even spatial extents.
-pub fn max_pool2x2_forward(x: &Tensor, par: impl Into<Par>) -> (Tensor, Vec<usize>) {
+pub fn max_pool2x2_forward(x: &Tensor, par: Par) -> (Tensor, Vec<usize>) {
     assert_eq!(x.shape().len(), 4, "max_pool: input must be rank 4");
     let (b, c, h, w) = dims4(x);
     assert!(h % 2 == 0 && w % 2 == 0, "max_pool: extents must be even");
     let (ho, wo) = (h / 2, w / 2);
     let owo = ho * wo;
     let xd = x.data();
-    let t = par.into().chunks_for(x.len());
+    let t = Par::threads(par.chunks_for(x.len()));
     let mut out = vec![f32::NEG_INFINITY; b * c * owo];
     let mut argmax = vec![0usize; b * c * owo];
     chunks_mut2(&mut out, owo, &mut argmax, owo, t, |first, oc, ac| {
@@ -405,7 +396,7 @@ pub fn max_pool2x2_backward(
     input_shape: &[usize],
     argmax: &[usize],
     grad_out: &Tensor,
-    par: impl Into<Par>,
+    par: Par,
 ) -> Tensor {
     let (b, c, h, w) = (
         input_shape[0],
@@ -416,9 +407,9 @@ pub fn max_pool2x2_backward(
     let hw = h * w;
     let owo = hw / 4;
     let god = grad_out.data();
-    let t = par.into().chunks_for(b * c * hw);
+    let t = Par::threads(par.chunks_for(b * c * hw));
     let mut dx = vec![0.0f32; b * c * hw];
-    if t <= 1 {
+    if t.budget() <= 1 {
         // Serial fast path: one flat scatter, no per-plane re-basing.
         for (&src, &g) in argmax.iter().zip(god) {
             dx[src] += g;
@@ -444,12 +435,12 @@ pub fn max_pool2x2_backward(
 /// # Panics
 ///
 /// Panics unless the input is rank 4.
-pub fn global_avg_pool_forward(x: &Tensor, par: impl Into<Par>) -> Tensor {
+pub fn global_avg_pool_forward(x: &Tensor, par: Par) -> Tensor {
     assert_eq!(x.shape().len(), 4, "global_avg_pool: must be rank 4");
     let (b, c, h, w) = dims4(x);
     let hw = h * w;
     let xd = x.data();
-    let t = par.into().chunks_for(x.len());
+    let t = Par::threads(par.chunks_for(x.len()));
     let mut out = vec![0.0f32; b * c];
     chunks_mut(&mut out, 1, t, |first, chunk| {
         for (p, slot) in chunk.iter_mut().enumerate() {
@@ -462,11 +453,7 @@ pub fn global_avg_pool_forward(x: &Tensor, par: impl Into<Par>) -> Tensor {
 
 /// Global-average-pool backward: spreads each channel gradient uniformly
 /// over its plane, parallel across planes.
-pub fn global_avg_pool_backward(
-    input_shape: &[usize],
-    grad_out: &Tensor,
-    par: impl Into<Par>,
-) -> Tensor {
+pub fn global_avg_pool_backward(input_shape: &[usize], grad_out: &Tensor, par: Par) -> Tensor {
     let (b, c, h, w) = (
         input_shape[0],
         input_shape[1],
@@ -475,7 +462,7 @@ pub fn global_avg_pool_backward(
     );
     let hw = h * w;
     let god = grad_out.data();
-    let t = par.into().chunks_for(b * c * hw);
+    let t = Par::threads(par.chunks_for(b * c * hw));
     let mut dx = vec![0.0f32; b * c * hw];
     chunks_mut(&mut dx, hw, t, |first, chunk| {
         for (p, plane) in chunk.chunks_exact_mut(hw).enumerate() {
@@ -776,7 +763,7 @@ mod tests {
         let x = Tensor::randn(&[4, 3, 2, 2], &mut rng).map(|v| 3.0 * v + 1.0);
         let gamma = Tensor::ones(&[3]);
         let beta = Tensor::zeros(&[3]);
-        let (y, _) = batch_norm_forward(&x, &gamma, &beta, 1e-5, 1);
+        let (y, _) = batch_norm_forward(&x, &gamma, &beta, 1e-5, Par::serial());
         // Per-channel mean ~0, variance ~1.
         let hw = 4;
         for ci in 0..3 {
@@ -799,7 +786,7 @@ mod tests {
         let x = Tensor::randn(&[2, 1, 2, 2], &mut rng);
         let gamma = Tensor::from_vec(vec![2.0], &[1]);
         let beta = Tensor::from_vec(vec![-1.0], &[1]);
-        let (y, _) = batch_norm_forward(&x, &gamma, &beta, 1e-5, 1);
+        let (y, _) = batch_norm_forward(&x, &gamma, &beta, 1e-5, Par::serial());
         let mean: f32 = y.data().iter().sum::<f32>() / y.len() as f32;
         assert!((mean - -1.0).abs() < 1e-4, "beta shifts the mean: {mean}");
     }
@@ -807,7 +794,13 @@ mod tests {
     #[test]
     fn saved_variance_round_trips() {
         let x = Tensor::from_vec(vec![1.0, 3.0, 1.0, 3.0], &[1, 1, 2, 2]);
-        let (_, saved) = batch_norm_forward(&x, &Tensor::ones(&[1]), &Tensor::zeros(&[1]), 1e-5, 1);
+        let (_, saved) = batch_norm_forward(
+            &x,
+            &Tensor::ones(&[1]),
+            &Tensor::zeros(&[1]),
+            1e-5,
+            Par::serial(),
+        );
         let var = saved.variance(1e-5);
         assert!((var[0] - 1.0).abs() < 1e-4, "variance {}", var[0]);
     }
@@ -833,13 +826,13 @@ mod tests {
         let (dx_ref, dg_ref, db_ref) = reference::batch_norm_backward(&x, &gamma, &s_ref, &grad);
         let mut first: Option<Vec<Vec<f32>>> = None;
         for threads in [1, 2, 4] {
-            let (y, s) = batch_norm_forward(&x, &gamma, &beta, 1e-5, threads);
+            let (y, s) = batch_norm_forward(&x, &gamma, &beta, 1e-5, Par::threads(threads));
             // The fused f64 single-pass stats differ from the seed's
             // two-pass f32 stats only at rounding level.
             close(y.data(), y_ref.data(), 1e-4, "bn fwd");
             close(&s.mean, &s_ref.mean, 1e-5, "bn mean");
             close(&s.inv_std, &s_ref.inv_std, 1e-4, "bn inv_std");
-            let (dx, dg, db) = batch_norm_backward(&x, &gamma, &s, &grad, threads);
+            let (dx, dg, db) = batch_norm_backward(&x, &gamma, &s, &grad, Par::threads(threads));
             close(dx.data(), dx_ref.data(), 1e-3, "bn dx");
             close(dg.data(), dg_ref.data(), 1e-3, "bn dgamma");
             close(db.data(), db_ref.data(), 1e-3, "bn dbeta");
@@ -867,10 +860,10 @@ mod tests {
         let (y_ref, s_ref) = reference::layer_norm_forward(&x, &gamma, &beta, 1e-5);
         let (dx_ref, dg_ref, db_ref) = reference::layer_norm_backward(&x, &gamma, &s_ref, &grad);
         for threads in [1, 2, 4] {
-            let (y, s) = layer_norm_forward(&x, &gamma, &beta, 1e-5, threads);
+            let (y, s) = layer_norm_forward(&x, &gamma, &beta, 1e-5, Par::threads(threads));
             assert_eq!(y.data(), y_ref.data(), "ln fwd t{threads}");
             assert_eq!(s, s_ref, "ln stats t{threads}");
-            let (dx, dg, db) = layer_norm_backward(&x, &gamma, &s, &grad, threads);
+            let (dx, dg, db) = layer_norm_backward(&x, &gamma, &s, &grad, Par::threads(threads));
             assert_eq!(dx.data(), dx_ref.data(), "ln dx t{threads}");
             assert_eq!(dg.data(), dg_ref.data(), "ln dgamma t{threads}");
             assert_eq!(db.data(), db_ref.data(), "ln dbeta t{threads}");
@@ -885,10 +878,10 @@ mod tests {
         let (loss_ref, probs_ref) = reference::softmax_xent_forward(&logits, &targets);
         let dl_ref = reference::softmax_xent_backward(&probs_ref, &targets, 0.7);
         for threads in [1, 2, 4] {
-            let (loss, probs) = softmax_xent_forward(&logits, &targets, threads);
+            let (loss, probs) = softmax_xent_forward(&logits, &targets, Par::threads(threads));
             assert_eq!(loss, loss_ref, "xent loss t{threads}");
             assert_eq!(probs.data(), probs_ref.data(), "xent probs t{threads}");
-            let dl = softmax_xent_backward(&probs, &targets, 0.7, threads);
+            let dl = softmax_xent_backward(&probs, &targets, 0.7, Par::threads(threads));
             assert_eq!(dl.data(), dl_ref.data(), "xent grad t{threads}");
         }
     }
@@ -904,14 +897,14 @@ mod tests {
         let ggap = Tensor::randn(gap_ref.shape(), &mut rng);
         let dgap_ref = reference::global_avg_pool_backward(x.shape(), &ggap);
         for threads in [1, 2, 4] {
-            let (p, am) = max_pool2x2_forward(&x, threads);
+            let (p, am) = max_pool2x2_forward(&x, Par::threads(threads));
             assert_eq!(p.data(), p_ref.data(), "maxpool fwd t{threads}");
             assert_eq!(am, am_ref, "maxpool argmax t{threads}");
-            let dmax = max_pool2x2_backward(x.shape(), &am, &gpool, threads);
+            let dmax = max_pool2x2_backward(x.shape(), &am, &gpool, Par::threads(threads));
             assert_eq!(dmax.data(), dmax_ref.data(), "maxpool bwd t{threads}");
-            let gap = global_avg_pool_forward(&x, threads);
+            let gap = global_avg_pool_forward(&x, Par::threads(threads));
             assert_eq!(gap.data(), gap_ref.data(), "gap fwd t{threads}");
-            let dgap = global_avg_pool_backward(x.shape(), &ggap, threads);
+            let dgap = global_avg_pool_backward(x.shape(), &ggap, Par::threads(threads));
             assert_eq!(dgap.data(), dgap_ref.data(), "gap bwd t{threads}");
         }
     }

@@ -37,15 +37,26 @@ impl<O: Optimizer> Instrumented<O> {
 }
 
 impl<O: Optimizer> Optimizer for Instrumented<O> {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> yf_optim::Hyper {
+    fn combine(
+        &mut self,
+        params: &[f32],
+        grads: &[f32],
+        partials: Vec<yf_optim::StatsPartial>,
+        grad_scale: f32,
+    ) -> yf_optim::Hyper {
         // The measure phase sees exactly the (pre-update params, applied
         // gradient) pair Eq. 37 needs — instrumentation composes with the
-        // two-phase API without shadowing the update.
+        // two-phase API without shadowing the update. Eq. 37 only uses
+        // `lr * g`, so an enclosing scale folds into the learning rate.
         let lr = self.inner.learning_rate();
-        if let Some(total) = self.estimator.observe(params, grads, lr) {
+        if let Some(total) = self.estimator.observe(params, grads, lr * grad_scale) {
             self.series.push(((self.target_fn)(&self.inner), total));
         }
-        self.inner.observe(params, grads)
+        self.inner.combine(params, grads, partials, grad_scale)
+    }
+
+    fn needs_observe_partials(&self) -> bool {
+        self.inner.needs_observe_partials()
     }
 
     fn step_shard(

@@ -56,15 +56,16 @@ use yellowfin::YellowFin;
 use yf_autograd::conv::{self, reference as conv_ref};
 use yf_autograd::norm::{self, reference as norm_ref};
 use yf_autograd::ConvSpec;
-use yf_optim::sharded::{apply_sharded, observe_sharded, step_sharded};
-use yf_optim::{Adam, MomentumSgd, Optimizer};
+use yf_optim::sharded::{step_fused, step_sharded};
+use yf_optim::{Adam, Hyper, MomentumSgd, Optimizer, ParamShard};
 use yf_serve::{
     Authority, Client, ClientConfig, FilterSpec, OpenSpec, ServeConfig, Server, Session,
     WireDialect,
 };
 use yf_tensor::gemm::reference as gemm_ref;
+use yf_tensor::parallel::{self, Par};
 use yf_tensor::rng::Pcg32;
-use yf_tensor::{parallel, Tensor};
+use yf_tensor::Tensor;
 
 /// The seed-era serial measure phase, retained as the perf baseline for
 /// the fused sharded observe: copy the gradient into a scratch buffer,
@@ -135,6 +136,35 @@ impl SerialObserve {
         self.mu_ema.update(sol.mu);
         self.lr_ema.update(sol.lr);
     }
+}
+
+/// The PR 3-era apply half of a step, retained as the seed side of the
+/// `yf_full_step_1M_*` entries: after a whole-vector `observe`, fan
+/// `hyper` out over `shards` slices in a second, separate pool dispatch.
+fn seed_apply_sharded(
+    opt: &dyn Optimizer,
+    params: &mut [f32],
+    grads: &[f32],
+    hyper: Hyper,
+    shards: usize,
+) {
+    let total = params.len();
+    let shards = shards.clamp(1, total);
+    if shards == 1 {
+        opt.step_shard(ParamShard::whole(total), params, grads, hyper);
+        return;
+    }
+    let rows_per = parallel::chunk_rows(total, shards);
+    let count = total.div_ceil(rows_per);
+    parallel::chunks_mut(params, 1, Par::threads(shards), |first, chunk| {
+        let shard = ParamShard {
+            index: first / rows_per,
+            count,
+            offset: first,
+            total,
+        };
+        opt.step_shard(shard, chunk, &grads[first..first + chunk.len()], hyper);
+    });
 }
 
 fn samples() -> usize {
@@ -525,17 +555,17 @@ fn main() {
 
     // --- Norm / softmax / pooling kernels: parallel fused reductions vs
     // the seed scalar loops (`yf_autograd::norm::reference`). ---
-    let threads = parallel::num_threads();
+    let par = Par::pool();
     {
         let x = Tensor::randn(&[8, 32, 32, 32], &mut rng);
         let gamma = Tensor::randn(&[32], &mut rng).map(|v| 1.0 + 0.1 * v);
         let beta = Tensor::randn(&[32], &mut rng);
         let grad = Tensor::randn(x.shape(), &mut rng);
-        let (_, saved) = norm::batch_norm_forward(&x, &gamma, &beta, 1e-5, threads);
+        let (_, saved) = norm::batch_norm_forward(&x, &gamma, &beta, 1e-5, par);
         push(
             "batch_norm_fwd_8x32x32x32",
             median_ns(|| {
-                std::hint::black_box(norm::batch_norm_forward(&x, &gamma, &beta, 1e-5, threads));
+                std::hint::black_box(norm::batch_norm_forward(&x, &gamma, &beta, 1e-5, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::batch_norm_forward(&x, &gamma, &beta, 1e-5));
@@ -544,9 +574,7 @@ fn main() {
         push(
             "batch_norm_bwd_8x32x32x32",
             median_ns(|| {
-                std::hint::black_box(norm::batch_norm_backward(
-                    &x, &gamma, &saved, &grad, threads,
-                ));
+                std::hint::black_box(norm::batch_norm_backward(&x, &gamma, &saved, &grad, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::batch_norm_backward(&x, &gamma, &saved, &grad));
@@ -558,11 +586,11 @@ fn main() {
         let gamma = Tensor::randn(&[1024], &mut rng).map(|v| 1.0 + 0.1 * v);
         let beta = Tensor::randn(&[1024], &mut rng);
         let grad = Tensor::randn(x.shape(), &mut rng);
-        let (_, stats) = norm::layer_norm_forward(&x, &gamma, &beta, 1e-5, threads);
+        let (_, stats) = norm::layer_norm_forward(&x, &gamma, &beta, 1e-5, par);
         push(
             "layer_norm_fwd_64x1024",
             median_ns(|| {
-                std::hint::black_box(norm::layer_norm_forward(&x, &gamma, &beta, 1e-5, threads));
+                std::hint::black_box(norm::layer_norm_forward(&x, &gamma, &beta, 1e-5, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::layer_norm_forward(&x, &gamma, &beta, 1e-5));
@@ -571,9 +599,7 @@ fn main() {
         push(
             "layer_norm_bwd_64x1024",
             median_ns(|| {
-                std::hint::black_box(norm::layer_norm_backward(
-                    &x, &gamma, &stats, &grad, threads,
-                ));
+                std::hint::black_box(norm::layer_norm_backward(&x, &gamma, &stats, &grad, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::layer_norm_backward(&x, &gamma, &stats, &grad));
@@ -583,11 +609,11 @@ fn main() {
     {
         let logits = Tensor::randn(&[64, 4096], &mut rng);
         let targets: Vec<usize> = (0..64).map(|r| (r * 61) % 4096).collect();
-        let (_, probs) = norm::softmax_xent_forward(&logits, &targets, threads);
+        let (_, probs) = norm::softmax_xent_forward(&logits, &targets, par);
         push(
             "softmax_ce_fwd_64x4096",
             median_ns(|| {
-                std::hint::black_box(norm::softmax_xent_forward(&logits, &targets, threads));
+                std::hint::black_box(norm::softmax_xent_forward(&logits, &targets, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::softmax_xent_forward(&logits, &targets));
@@ -596,7 +622,7 @@ fn main() {
         push(
             "softmax_ce_bwd_64x4096",
             median_ns(|| {
-                std::hint::black_box(norm::softmax_xent_backward(&probs, &targets, 1.0, threads));
+                std::hint::black_box(norm::softmax_xent_backward(&probs, &targets, 1.0, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::softmax_xent_backward(&probs, &targets, 1.0));
@@ -605,12 +631,12 @@ fn main() {
     }
     {
         let x = Tensor::randn(&[8, 32, 32, 32], &mut rng);
-        let (pooled, argmax) = norm::max_pool2x2_forward(&x, threads);
+        let (pooled, argmax) = norm::max_pool2x2_forward(&x, par);
         let grad = Tensor::randn(pooled.shape(), &mut rng);
         push(
             "max_pool_fwd_8x32x32x32",
             median_ns(|| {
-                std::hint::black_box(norm::max_pool2x2_forward(&x, threads));
+                std::hint::black_box(norm::max_pool2x2_forward(&x, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::max_pool2x2_forward(&x));
@@ -619,12 +645,7 @@ fn main() {
         push(
             "max_pool_bwd_8x32x32x32",
             median_ns(|| {
-                std::hint::black_box(norm::max_pool2x2_backward(
-                    x.shape(),
-                    &argmax,
-                    &grad,
-                    threads,
-                ));
+                std::hint::black_box(norm::max_pool2x2_backward(x.shape(), &argmax, &grad, par));
             }),
             median_ns(|| {
                 std::hint::black_box(norm_ref::max_pool2x2_backward(x.shape(), &argmax, &grad));
@@ -678,7 +699,8 @@ fn main() {
         for &(name, observe_shards) in &[("observe_1M_t1", 1usize), ("observe_1M_t4", 4)] {
             let mut opt = YellowFin::default();
             let new = median_ns(|| {
-                std::hint::black_box(observe_sharded(&mut opt, &params, &grads, observe_shards));
+                let hyper = step_fused(&mut opt, &params, &grads, observe_shards, 0, |_, _, _| {});
+                std::hint::black_box(hyper);
             });
             let mut seed_opt = SerialObserve::new(n);
             let seed = median_ns(|| {
@@ -702,7 +724,7 @@ fn main() {
             let mut ps = params.clone();
             let seed = median_ns(|| {
                 let hyper = serial.observe(&ps, &grads);
-                apply_sharded(&serial, &mut ps, &grads, hyper, t);
+                seed_apply_sharded(&serial, &mut ps, &grads, hyper, t);
                 std::hint::black_box(&ps);
             });
             push(name, new, seed);

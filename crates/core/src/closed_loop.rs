@@ -12,7 +12,7 @@
 use crate::tuner::{YellowFin, YellowFinConfig};
 use std::collections::VecDeque;
 use yf_optim::{Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
-use yf_tensor::parallel;
+use yf_tensor::parallel::{self, Par};
 
 /// The total-momentum estimator of Eq. 37:
 ///
@@ -114,7 +114,7 @@ impl TotalMomentumEstimator {
 /// The update itself is the position-form momentum step of Algorithm 5,
 /// line 3: `x_t = x_{t-1} + mu (x_{t-1} - x_{t-2}) - alpha g`.
 ///
-/// Two-phase mapping: `observe` runs the estimator, the tuner's
+/// Two-phase mapping: `combine` runs the estimator, the tuner's
 /// measurement/solve phase (targets only — the tuner applies nothing),
 /// and the feedback law; `step_shard` is the position-form update with
 /// per-shard previous-parameter state.
@@ -170,16 +170,6 @@ impl ClosedLoopYellowFin {
 }
 
 impl Optimizer for ClosedLoopYellowFin {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        self.combine(params, grads, Vec::new(), 1.0)
-    }
-
-    fn observe_shard(&self, shard: ParamShard, params: &[f32], grads: &[f32]) -> StatsPartial {
-        // The controller's own measurement (the Eq. 37 estimator) needs
-        // whole snapshots, not reductions; the partials are the tuner's.
-        self.tuner.observe_shard(shard, params, grads)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
@@ -197,9 +187,11 @@ impl Optimizer for ClosedLoopYellowFin {
             self.last_total = Some(mu_t);
         }
 
-        // Run the tuner's measure/solve phase to produce mu* and alpha;
-        // its open-loop momentum update is never applied to the model
-        // (the position-form update below replaces it).
+        // Run the tuner's measure/solve phase on the Σg² partials to
+        // produce mu* and alpha (the Eq. 37 estimator above needs whole
+        // snapshots, not reductions); its open-loop momentum update is
+        // never applied to the model (the position-form update below
+        // replaces it).
         self.tuner.combine(params, grads, partials, grad_scale);
 
         // Negative feedback on the algorithmic momentum.
@@ -281,7 +273,7 @@ pub struct ClosedLoopAdam {
     m: ShardedState,
     /// Second moment, whole-vector: the measure phase needs it to build
     /// the effective (preconditioned) gradient Eq. 37 is fed, so it is
-    /// updated in `observe` and only *read* by `step_shard`.
+    /// updated in `combine` and only *read* by `step_shard`.
     v: Vec<f32>,
     /// Reusable effective-gradient buffer for the Eq. 37 estimator — kept
     /// across steps so the measure phase performs no per-step allocation.
@@ -321,10 +313,6 @@ impl ClosedLoopAdam {
 }
 
 impl Optimizer for ClosedLoopAdam {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        self.combine(params, grads, Vec::new(), 1.0)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
@@ -364,7 +352,7 @@ impl Optimizer for ClosedLoopAdam {
             1,
             &mut self.effective,
             1,
-            threads,
+            Par::threads(threads),
             |first, vc, ec| {
                 for (i, (v, e)) in vc.iter_mut().zip(ec.iter_mut()).enumerate() {
                     let g = grad_scale * grads[first + i];

@@ -9,6 +9,7 @@
 
 use crate::ema::{Ema, VecEma};
 use std::collections::VecDeque;
+use yf_tensor::parallel::Par;
 
 /// Algorithm 2: running estimates of the extremal curvatures
 /// `h_max`/`h_min` from a sliding window of `h_t = ||g_t||^2`.
@@ -158,7 +159,7 @@ impl GradVariance {
             beta,
             scale,
             corr,
-            threads,
+            Par::threads(threads),
         );
         self.first.correction = corr;
         self.first.steps += 1;

@@ -65,8 +65,8 @@ impl Default for YellowFinConfig {
 ///
 /// The paper's *measure → tune → apply* structure maps directly onto the
 /// sharded two-phase [`Optimizer`] API. The measure phase is a partial
-/// reduction: `observe_shard` contributes per-block Σg² sums for its
-/// gradient slice, and `combine` folds them with a fixed-order tree into
+/// reduction: the default `observe_shard` contributes per-block Σg² sums
+/// for its gradient slice, and `combine` folds them with a fixed-order tree into
 /// the global norm, feeds the three oracles (the gradient-variance sweep
 /// is itself a fused, parallel, clip-scaled kernel — no gradient copy is
 /// made anywhere), runs the `SingleStep` solve, and folds the clip factor
@@ -204,14 +204,6 @@ impl YellowFin {
 }
 
 impl Optimizer for YellowFin {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        self.combine(params, grads, Vec::new(), 1.0)
-    }
-
-    fn observe_shard(&self, shard: ParamShard, _params: &[f32], grads: &[f32]) -> StatsPartial {
-        StatsPartial::sumsq(shard.offset, grads)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
@@ -223,13 +215,9 @@ impl Optimizer for YellowFin {
         assert_eq!(params.len(), grads.len(), "yellowfin: length mismatch");
         assert_eq!(dim, params.len(), "yellowfin: parameter count changed");
 
-        // 1. Global norm from the per-shard partial reductions (computed
-        // here when no fan-out ran). The norm the tuner sees includes the
-        // scale applied by enclosing middleware.
-        let mut partials = partials;
-        if partials.is_empty() && !grads.is_empty() {
-            partials.push(StatsPartial::sumsq(0, grads));
-        }
+        // 1. Global norm from the per-shard partial reductions. The norm
+        // the tuner sees includes the scale applied by enclosing
+        // middleware.
         let raw_sumsq = StatsPartial::merge_sums(&partials, grads.len());
         let norm_before = (f64::from(grad_scale) * raw_sumsq.sqrt()) as f32;
         let threshold = self.clip_threshold();

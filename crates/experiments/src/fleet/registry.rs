@@ -4,22 +4,20 @@
 //! *names* of their workload and optimizer and both the coordinator and
 //! the `yf-fleet-worker` processes resolve them here — the registry is
 //! the single source of truth that keeps an in-process sweep and a
-//! multi-process fleet sweep building bit-identical cells.
+//! multi-process fleet sweep building bit-identical cells. The optimizer
+//! half is `yf_serve::registry`, re-exported: tuner sessions and fleet
+//! cells resolve optimizer names from the same table.
 
 use crate::task::{ModelTask, TrainTask};
 use crate::workloads;
-use yellowfin::{YellowFin, YellowFinConfig};
 use yf_nn::Mlp;
-use yf_optim::{AdaGrad, Adam, MomentumSgd, Optimizer, RmsProp, Sgd};
 use yf_tensor::rng::Pcg32;
 use yf_tensor::Tensor;
 
+pub use yf_serve::registry::{opt_builder, OptBuilder};
+
 /// Seeded constructor for a boxed training task.
 pub type TaskBuilder = fn(u64) -> Box<dyn TrainTask>;
-
-/// Grid-value constructor for a boxed optimizer (the grid value is the
-/// learning rate, or the lr factor for YellowFin).
-pub type OptBuilder = fn(f32) -> Box<dyn Optimizer>;
 
 /// A tiny MLP on synthetic 2-feature data: cheap enough for the
 /// fault-injection test matrix, with a *stateful* batcher (an RNG drawing
@@ -67,37 +65,6 @@ pub fn task_builder(name: &str) -> Option<TaskBuilder> {
     })
 }
 
-fn momentum(lr: f32) -> Box<dyn Optimizer> {
-    Box::new(MomentumSgd::new(lr, 0.9))
-}
-
-fn nesterov(lr: f32) -> Box<dyn Optimizer> {
-    Box::new(MomentumSgd::nesterov(lr, 0.9))
-}
-
-fn yellowfin(lr_factor: f32) -> Box<dyn Optimizer> {
-    Box::new(YellowFin::new(YellowFinConfig {
-        lr_factor: f64::from(lr_factor),
-        ..YellowFinConfig::default()
-    }))
-}
-
-/// Resolves an optimizer name to its grid-value constructor. Momentum
-/// variants fix the paper's 0.9 momentum; the grid value is the learning
-/// rate (for `"yellowfin"`, the Appendix J.4 learning-rate factor).
-pub fn opt_builder(name: &str) -> Option<OptBuilder> {
-    Some(match name {
-        "sgd" => |lr| Box::new(Sgd::new(lr)) as Box<dyn Optimizer>,
-        "momentum" => momentum,
-        "nesterov" => nesterov,
-        "adam" => |lr| Box::new(Adam::new(lr)) as Box<dyn Optimizer>,
-        "adagrad" => |lr| Box::new(AdaGrad::new(lr)) as Box<dyn Optimizer>,
-        "rmsprop" => |lr| Box::new(RmsProp::new(lr)) as Box<dyn Optimizer>,
-        "yellowfin" => yellowfin,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +100,7 @@ mod tests {
 
     #[test]
     fn yellowfin_builder_applies_the_lr_factor() {
-        let opt = yellowfin(0.5);
+        let opt = opt_builder("yellowfin").unwrap()(0.5);
         assert_eq!(opt.name(), "yellowfin");
     }
 }

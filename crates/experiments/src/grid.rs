@@ -13,7 +13,7 @@ use crate::smoothing::smooth;
 use crate::task::TrainTask;
 use crate::trainer::{train, RunConfig, RunResult};
 use yf_optim::Optimizer;
-use yf_tensor::parallel;
+use yf_tensor::parallel::{self, Par};
 
 /// Typed error from the fallible grid entry points ([`try_grid_search`],
 /// [`try_average_curves`], [`try_average_metrics`], [`score_results`]).
@@ -186,7 +186,7 @@ pub fn try_grid_search(
     let cells: Vec<(f32, u64)> = grid_cells(values, seeds);
     let mut results: Vec<Option<RunResult>> = (0..cells.len()).map(|_| None).collect();
     let threads = parallel::num_threads().min(cells.len());
-    parallel::chunks_mut(&mut results, 1, threads, |first, chunk| {
+    parallel::chunks_mut(&mut results, 1, Par::threads(threads), |first, chunk| {
         for (i, slot) in chunk.iter_mut().enumerate() {
             let (value, seed) = cells[first + i];
             let mut task = make_task(seed);

@@ -56,7 +56,7 @@
 use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
-use yf_optim::{Hyper, MomentumSgd, Optimizer, ParamShard};
+use yf_optim::{Hyper, MomentumSgd, Optimizer, ParamShard, StatsPartial};
 use yf_serve::{
     Backoff, Client, ClientConfig, ClientError, MeasureReply, OpenSpec, Outcome, Session,
 };
@@ -561,7 +561,22 @@ impl Optimizer for RemoteTuner {
     /// unreachable *and* no shadow is available (the session was
     /// resumed mid-stream, or the shadow was disabled after a
     /// divergence).
-    fn observe(&mut self, _params: &[f32], grads: &[f32]) -> Hyper {
+    fn combine(
+        &mut self,
+        _params: &[f32],
+        grads: &[f32],
+        _partials: Vec<StatsPartial>,
+        grad_scale: f32,
+    ) -> Hyper {
+        // The server measures the gradient as sent, so an enclosing
+        // middleware's scale is applied to the copy on the wire.
+        let scaled: Vec<f32>;
+        let grads = if grad_scale == 1.0 {
+            grads
+        } else {
+            scaled = grads.iter().map(|&g| grad_scale * g).collect();
+            &scaled
+        };
         let step = self.step;
         let loss = self.loss;
         let shadow_out = self.shadow.as_mut().map(|s| {
@@ -615,26 +630,8 @@ impl Optimizer for RemoteTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::registry;
     use yf_serve::{Authority, FilterSpec, ServeConfig, Server};
     use yf_tensor::rng::Pcg32;
-
-    #[test]
-    fn serve_registry_names_resolve_in_the_fleet_registry() {
-        // The serve crate sits below yf-experiments, so its optimizer
-        // registry repeats the fleet constructors; this pins the two
-        // name sets together so they cannot drift.
-        for name in yf_serve::registry::OPTIMIZER_NAMES {
-            assert!(
-                registry::opt_builder(name).is_some(),
-                "serve registry name {name:?} is unknown to the fleet registry"
-            );
-            assert!(
-                yf_serve::registry::build_optimizer(name, 0.1).is_some(),
-                "{name}"
-            );
-        }
-    }
 
     #[test]
     fn remote_tuner_steps_bitwise_like_the_in_process_tuner() {

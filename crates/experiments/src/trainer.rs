@@ -1,13 +1,14 @@
 //! Synchronous and asynchronous training loops.
 //!
-//! Both loops drive the fused *measure → combine → apply* step pipeline:
-//! per step, the measure phase fans per-shard partial reductions out over
-//! the worker pool (`yf_optim::sharded::observe_sharded`), a deterministic
-//! tree combine makes the tuning decision, and the apply phase fans
-//! `step_shard`s out over the same shard plan (or named parameter
-//! groups). Reductions are block-structured and updates per-coordinate,
-//! so the trajectory is bit-identical for every shard count — sharding
-//! only changes how the step is scheduled.
+//! Both loops drive the fused *measure → combine → apply* step pipeline
+//! (`yf_optim::sharded::step_fused`, planned by `step_sharded` or, for
+//! named parameter groups, `step_grouped`): per step, the measure phase
+//! fans per-shard partial reductions out over the worker pool, a
+//! deterministic tree combine makes the tuning decision, and the apply
+//! phase fans `step_shard`s out over the shard plan — one pool dispatch.
+//! Reductions are block-structured and updates per-coordinate, so the
+//! trajectory is bit-identical for every shard count — sharding only
+//! changes how the step is scheduled.
 
 use crate::task::{TaskSource, TrainTask};
 use yf_async::RoundRobinSimulator;
@@ -231,7 +232,7 @@ pub fn train_resumable(
         match &cfg.groups {
             Some(groups) => sharded::step_grouped(opt, groups, &mut params, &grad),
             None => sharded::step_sharded(opt, &mut params, &grad, shards),
-        }
+        };
         result.losses.push(loss);
         if cfg.eval_every > 0 && (step + 1) % cfg.eval_every == 0 {
             let m = task.validate(&params);

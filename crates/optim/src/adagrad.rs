@@ -1,7 +1,7 @@
 //! AdaGrad (Duchi, Hazan & Singer, 2011).
 
 use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
-use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState};
+use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
 /// AdaGrad: per-coordinate learning rates from accumulated squared
@@ -28,21 +28,16 @@ impl AdaGrad {
 }
 
 impl Optimizer for AdaGrad {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        let dim = *self.dim.get_or_insert(params.len());
-        check_lengths(dim, params, grads);
-        Hyper::new(self.lr, 0.0)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
         grads: &[f32],
-        _partials: Vec<crate::StatsPartial>,
+        _partials: Vec<StatsPartial>,
         _grad_scale: f32,
     ) -> Hyper {
-        // Measurement ignores gradient values: no scaled copy needed.
-        self.observe(params, grads)
+        let dim = *self.dim.get_or_insert(params.len());
+        check_lengths(dim, params, grads);
+        Hyper::new(self.lr, 0.0)
     }
 
     fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {

@@ -1,7 +1,7 @@
 //! Adam (Kingma & Ba, 2014) with zero-debiased moments.
 
 use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
-use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState};
+use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
 /// The Adam optimizer.
@@ -12,7 +12,7 @@ use yf_tensor::elementwise;
 /// asynchrony-induced momentum. Bias correction `1 − β1^t` remains valid
 /// for negative β1.
 ///
-/// Two-phase mapping: `observe` advances the step counter `t` and reports
+/// Two-phase mapping: `combine` advances the step counter `t` and reports
 /// β1 as the [`Hyper::momentum`]; `step_shard` updates the per-shard
 /// `(m, v)` moment buffers and the parameters in one fused pass.
 #[derive(Debug, Clone)]
@@ -64,22 +64,17 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        let dim = *self.dim.get_or_insert(params.len());
-        check_lengths(dim, params, grads);
-        self.t += 1;
-        Hyper::new(self.lr, self.beta1)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
         grads: &[f32],
-        _partials: Vec<crate::StatsPartial>,
+        _partials: Vec<StatsPartial>,
         _grad_scale: f32,
     ) -> Hyper {
-        // Measurement ignores gradient values: no scaled copy needed.
-        self.observe(params, grads)
+        let dim = *self.dim.get_or_insert(params.len());
+        check_lengths(dim, params, grads);
+        self.t += 1;
+        Hyper::new(self.lr, self.beta1)
     }
 
     fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {

@@ -49,14 +49,13 @@ pub fn clip_scale(norm: f32, threshold: f32) -> f32 {
 /// threshold before delegating — the "manually set gradient norm
 /// threshold" baseline of the paper's Table 1.
 ///
-/// Fully copy-free in the sharded measure pipeline: `observe_shard`
-/// contributes per-block Σg² partial sums (with the wrapped optimizer's
-/// partial nested inside), `combine` assembles the norm from them with
-/// the deterministic tree reduction and threads the clip factor into the
-/// inner `combine` as a gradient *scale* — the wrapped optimizer measures
-/// on scaled values analytically, and the apply phase folds the same
-/// factor into [`crate::Hyper::grad_scale`], so no scaled gradient is ever
-/// materialized anywhere in the step.
+/// Fully copy-free in the sharded measure pipeline: `combine` assembles
+/// the norm from the per-block Σg² partials with the deterministic tree
+/// reduction, hands the same partials to the inner `combine`, and threads
+/// the clip factor in as a gradient *scale* — the wrapped optimizer
+/// measures on scaled values analytically, and the apply phase folds the
+/// same factor into [`crate::Hyper::grad_scale`], so no scaled gradient is
+/// ever materialized anywhere in the step.
 #[derive(Debug, Clone)]
 pub struct Clipped<O> {
     inner: O,
@@ -76,41 +75,6 @@ impl<O: crate::Optimizer> Clipped<O> {
 }
 
 impl<O: crate::Optimizer> crate::Optimizer for Clipped<O> {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> crate::Hyper {
-        self.combine(params, grads, Vec::new(), 1.0)
-    }
-
-    fn observe_shard(
-        &self,
-        shard: crate::ParamShard,
-        params: &[f32],
-        grads: &[f32],
-    ) -> crate::StatsPartial {
-        if self.inner.needs_observe_partials() {
-            // `StatsPartial::sums` is contractually the raw-gradient
-            // per-block Σg², so a measuring inner optimizer's partial
-            // already carries exactly the sums this wrapper needs for the
-            // clip norm — share them instead of sweeping the slice a
-            // second time. (Fallback: an impl that opted in but kept the
-            // default empty partial still gets a correct norm.)
-            let inner = self.inner.observe_shard(shard, params, grads);
-            let shared = inner.sums.len() == yf_tensor::reduce::blocks_for(grads.len());
-            let mut own = if shared {
-                crate::StatsPartial {
-                    first_block: inner.first_block,
-                    sums: inner.sums.clone(),
-                    inner: None,
-                }
-            } else {
-                crate::StatsPartial::sumsq(shard.offset, grads)
-            };
-            own.inner = Some(Box::new(inner));
-            own
-        } else {
-            crate::StatsPartial::sumsq(shard.offset, grads)
-        }
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
@@ -118,24 +82,16 @@ impl<O: crate::Optimizer> crate::Optimizer for Clipped<O> {
         partials: Vec<crate::StatsPartial>,
         grad_scale: f32,
     ) -> crate::Hyper {
-        let mut partials = partials;
-        if partials.is_empty() && !grads.is_empty() {
-            // One-phase path: compute the sums once here and hand a copy
-            // down as the inner partial, so a measuring inner optimizer
-            // doesn't sweep the gradient again.
-            let own = crate::StatsPartial::sumsq(0, grads);
-            let inner = self.inner.needs_observe_partials().then(|| own.clone());
-            partials.push(own.with_inner(inner));
-        }
         let sumsq = crate::StatsPartial::merge_sums(&partials, grads.len());
         // The norm this wrapper sees is the norm of the gradient already
         // scaled by every enclosing wrapper.
         let norm = (f64::from(grad_scale) * sumsq.sqrt()) as f32;
         let scale = clip_scale(norm, self.threshold);
-        let inner_partials = crate::StatsPartial::take_inner(&mut partials);
+        // `StatsPartial::sums` is contractually the raw-gradient Σg², so
+        // the wrapped optimizer measures from these same partials.
         let hyper = self
             .inner
-            .combine(params, grads, inner_partials, grad_scale * scale);
+            .combine(params, grads, partials, grad_scale * scale);
         crate::Hyper {
             grad_scale: hyper.grad_scale * scale,
             ..hyper

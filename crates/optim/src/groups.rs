@@ -7,10 +7,11 @@
 //! override). It is typically built from a `SupervisedModel`'s parameter
 //! list via `yf_nn::param_groups` and handed to
 //! [`step_grouped`](crate::sharded::step_grouped) or
-//! `yf_experiments::trainer::RunConfig`.
+//! `yf_experiments::trainer::RunConfig`; a single group is the plan
+//! [`step_sharded`](crate::sharded::step_sharded) runs.
 //!
 //! Overrides adjust the [`Hyper`] produced by the optimizer's single
-//! global `observe` — the measurement stays whole-model (the paper's
+//! global `combine` — the measurement stays whole-model (the paper's
 //! global curvature/variance statistics), only the *applied* values vary
 //! per group, which is exactly the split the closed-loop analysis needs.
 

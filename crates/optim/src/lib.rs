@@ -5,13 +5,14 @@
 //! implements the same [`Optimizer`] trait, which mirrors the paper's
 //! *measure → tune → apply* structure (§3):
 //!
-//! 1. The **measure** phase is itself sharded: [`Optimizer::observe_shard`]
-//!    reduces one block-aligned gradient slice into a [`StatsPartial`]
-//!    of per-block partial sums (`&self`, runs on the persistent pool),
-//!    and [`Optimizer::combine`] folds the partials with a fixed-order
+//! 1. The **measure** phase reads the gradient only through per-block
+//!    Σg² partial sums: [`Optimizer::observe_shard`] reduces one
+//!    block-aligned gradient slice into a [`StatsPartial`] (`&self`,
+//!    runs on the persistent pool), and [`Optimizer::combine`] — the one
+//!    required measure method — folds the partials with a fixed-order
 //!    tree reduction, updates the global statistics (moment counters,
 //!    curvature estimates, clipping norms), and returns the tuned
-//!    [`Hyper`] — the `(lr, momentum, grad_scale)` this step will apply.
+//!    [`Hyper`]: the `(lr, momentum, grad_scale)` this step will apply.
 //!    [`Optimizer::observe`] is the whole-vector composition of the two.
 //! 2. [`Optimizer::step_shard`] applies the update to one disjoint slice
 //!    of the vector. It takes `&self`: all per-coordinate state lives in
@@ -24,11 +25,10 @@
 //!    per-coordinate, sharded measure + N parallel `step_shard`s is
 //!    bitwise identical to `step` for every shard count.
 //!
-//! The drivers live in [`sharded`]: [`sharded::observe_sharded`] (the
-//! partial-reduction measure fan-out), [`sharded::step_sharded`]
-//! (measure plus uniform parallel apply) and [`sharded::step_grouped`]
-//! (named [`ParamGroups`] with per-group learning-rate/momentum
-//! overrides).
+//! The driver is [`sharded::step_fused`]: measure, combine and apply in
+//! one pool dispatch. [`sharded::step_grouped`] plans it over named
+//! [`ParamGroups`] with per-group learning-rate/momentum overrides, and
+//! [`sharded::step_sharded`] is the one-group case.
 //!
 //! Implemented baselines (the comparison set of the paper's Section 5):
 //! plain SGD, Polyak and Nesterov momentum SGD, [`Adam`] (which accepts the
@@ -79,7 +79,8 @@ pub use sgd::{MomentumSgd, Sgd};
 pub use sharded::AUTO_SHARD_MIN_DIM;
 pub use sharded::{ParamShard, ShardedState, StatsPartial};
 
-/// The hyperparameters one `observe` tunes for the step it precedes.
+/// The hyperparameters one measure phase (`combine`) tunes for the step
+/// it precedes.
 ///
 /// `grad_scale` is a global multiplier on the gradient (1.0 = none); the
 /// clipping middleware folds the clip factor into it so shard application
@@ -118,72 +119,58 @@ impl Default for Hyper {
 /// step. `Send + Sync` is a supertrait so `&dyn Optimizer` can fan the
 /// apply phase out over the persistent worker pool.
 pub trait Optimizer: Send + Sync {
-    /// Measure phase: consumes the whole gradient once, updates global
-    /// statistics and scalar state, and returns the hyperparameters the
+    /// Whole-vector measure phase: the one-shard case of
+    /// [`sharded::step_fused`] — the Σg² partial of the single
+    /// whole-vector shard (when [`Optimizer::needs_observe_partials`]),
+    /// then [`Optimizer::combine`]. Returns the hyperparameters the
     /// subsequent [`Optimizer::step_shard`] calls must apply.
     ///
     /// # Panics
     ///
     /// Panics if `params.len() != grads.len()` or if the length changes
     /// between calls.
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper;
+    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
+        let partials = sharded::whole_partials(self, params, grads);
+        self.combine(params, grads, partials, 1.0)
+    }
 
     /// Sharded half of the measure phase: reduces one disjoint,
     /// block-aligned gradient slice into a [`StatsPartial`] of per-block
-    /// partial sums. `&self`, so the [`sharded::observe_sharded`] driver
-    /// can run all shards concurrently on pool workers before a single
-    /// [`Optimizer::combine`] folds them.
-    ///
-    /// The default returns an empty partial — correct for optimizers
-    /// whose measurement consumes no gradient reductions (the plain
-    /// baselines). Optimizers that measure gradient statistics override
-    /// it together with [`Optimizer::needs_observe_partials`].
+    /// Σg² sums ([`StatsPartial::sumsq`]). `&self`, so
+    /// [`sharded::step_fused`] can run all shards concurrently on pool
+    /// workers before a single [`Optimizer::combine`] folds them. Only
+    /// called when [`Optimizer::needs_observe_partials`] is true.
     fn observe_shard(&self, shard: ParamShard, params: &[f32], grads: &[f32]) -> StatsPartial {
-        let _ = (shard, params, grads);
-        StatsPartial::default()
+        let _ = params;
+        StatsPartial::sumsq(shard.offset, grads)
     }
 
     /// Combining half of the measure phase: folds the per-shard
     /// [`StatsPartial`]s (fixed-order tree reduction — bitwise identical
     /// for every block-aligned shard plan, including the single
     /// whole-vector shard), updates the optimizer's global state, and
-    /// returns the step's [`Hyper`]. An empty `partials` vector means "no
-    /// fan-out ran": implementations that need the sums compute them from
-    /// `grads` on the spot, which keeps [`Optimizer::observe`] a trivial
-    /// `combine(params, grads, vec![], 1.0)`.
+    /// returns the step's [`Hyper`]. When
+    /// [`Optimizer::needs_observe_partials`] is true, `partials` always
+    /// tiles the whole gradient, one partial per shard in order; when it
+    /// is false, `partials` is empty.
     ///
     /// `grad_scale` is the product of the gradient scales applied by
     /// enclosing middleware (1.0 at the top level): the measurement must
-    /// behave as if every gradient element were pre-multiplied by it,
-    /// *without* materializing a scaled copy. The returned
-    /// [`Hyper::grad_scale`] excludes the incoming `grad_scale` — each
-    /// wrapper folds its own factor in, so the product reaching the apply
-    /// phase is the full chain.
-    ///
-    /// The default ignores `partials` and falls back to the whole-vector
-    /// [`Optimizer::observe`] (materializing a scaled gradient copy when
-    /// `grad_scale != 1.0`), so external `Optimizer` impls that predate
-    /// the sharded measure phase keep working unchanged.
+    /// behave as if every gradient element were pre-multiplied by it.
+    /// The returned [`Hyper::grad_scale`] excludes the incoming
+    /// `grad_scale` — each wrapper folds its own factor in, so the
+    /// product reaching the apply phase is the full chain.
     fn combine(
         &mut self,
         params: &[f32],
         grads: &[f32],
         partials: Vec<StatsPartial>,
         grad_scale: f32,
-    ) -> Hyper {
-        let _ = partials;
-        if grad_scale == 1.0 {
-            self.observe(params, grads)
-        } else {
-            let scaled: Vec<f32> = grads.iter().map(|&g| grad_scale * g).collect();
-            self.observe(params, &scaled)
-        }
-    }
+    ) -> Hyper;
 
     /// True when the measure phase consumes gradient reductions, i.e.
-    /// [`Optimizer::observe_shard`] returns meaningful partials worth
-    /// fanning out. The sharded drivers skip the measure fan-out entirely
-    /// when this is false.
+    /// [`Optimizer::combine`] reads the Σg² partials. The drivers skip
+    /// the measure phase entirely when this is false.
     fn needs_observe_partials(&self) -> bool {
         false
     }
@@ -255,7 +242,9 @@ pub trait Optimizer: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-pub(crate) fn check_lengths(state_len: usize, params: &[f32], grads: &[f32]) {
+/// The one `params`/`grads` length check behind every measure and apply
+/// entry point, so mismatches panic with the same message everywhere.
+pub(crate) fn check_same_len(params: &[f32], grads: &[f32]) {
     assert_eq!(
         params.len(),
         grads.len(),
@@ -263,6 +252,10 @@ pub(crate) fn check_lengths(state_len: usize, params: &[f32], grads: &[f32]) {
         params.len(),
         grads.len()
     );
+}
+
+pub(crate) fn check_lengths(state_len: usize, params: &[f32], grads: &[f32]) {
+    check_same_len(params, grads);
     assert_eq!(
         state_len,
         params.len(),

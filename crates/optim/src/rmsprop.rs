@@ -1,7 +1,7 @@
 //! RMSProp (Tieleman & Hinton, 2012).
 
 use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
-use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState};
+use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
 /// RMSProp: per-coordinate learning rates from an exponential moving
@@ -39,21 +39,16 @@ impl RmsProp {
 }
 
 impl Optimizer for RmsProp {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        let dim = *self.dim.get_or_insert(params.len());
-        check_lengths(dim, params, grads);
-        Hyper::new(self.lr, 0.0)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
         grads: &[f32],
-        _partials: Vec<crate::StatsPartial>,
+        _partials: Vec<StatsPartial>,
         _grad_scale: f32,
     ) -> Hyper {
-        // Measurement ignores gradient values: no scaled copy needed.
-        self.observe(params, grads)
+        let dim = *self.dim.get_or_insert(params.len());
+        check_lengths(dim, params, grads);
+        Hyper::new(self.lr, 0.0)
     }
 
     fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {

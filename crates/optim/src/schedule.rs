@@ -100,19 +100,6 @@ impl<O: Optimizer> Scheduled<O> {
 }
 
 impl<O: Optimizer> Optimizer for Scheduled<O> {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> crate::Hyper {
-        self.inner.observe(params, grads)
-    }
-
-    fn observe_shard(
-        &self,
-        shard: crate::ParamShard,
-        params: &[f32],
-        grads: &[f32],
-    ) -> crate::StatsPartial {
-        self.inner.observe_shard(shard, params, grads)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
@@ -207,7 +194,13 @@ mod tests {
     fn apply_noops_on_self_tuning_optimizers() {
         struct SelfTuned(f32);
         impl Optimizer for SelfTuned {
-            fn observe(&mut self, _: &[f32], _: &[f32]) -> crate::Hyper {
+            fn combine(
+                &mut self,
+                _: &[f32],
+                _: &[f32],
+                _: Vec<crate::StatsPartial>,
+                _: f32,
+            ) -> crate::Hyper {
                 crate::Hyper::new(self.0, 0.0)
             }
             fn step_shard(&self, _: crate::ParamShard, _: &mut [f32], _: &[f32], _: crate::Hyper) {}

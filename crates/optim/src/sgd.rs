@@ -1,7 +1,7 @@
 //! Stochastic gradient descent, with and without momentum.
 
 use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
-use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState};
+use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
 /// Vanilla SGD: `x <- x - lr * g`.
@@ -19,21 +19,16 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        let dim = *self.dim.get_or_insert(params.len());
-        check_lengths(dim, params, grads);
-        Hyper::new(self.lr, 0.0)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
         grads: &[f32],
-        _partials: Vec<crate::StatsPartial>,
+        _partials: Vec<StatsPartial>,
         _grad_scale: f32,
     ) -> Hyper {
-        // Measurement ignores gradient values: no scaled copy needed.
-        self.observe(params, grads)
+        let dim = *self.dim.get_or_insert(params.len());
+        check_lengths(dim, params, grads);
+        Hyper::new(self.lr, 0.0)
     }
 
     fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {
@@ -124,21 +119,16 @@ impl MomentumSgd {
 }
 
 impl Optimizer for MomentumSgd {
-    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
-        let dim = *self.dim.get_or_insert(params.len());
-        check_lengths(dim, params, grads);
-        Hyper::new(self.lr, self.momentum)
-    }
-
     fn combine(
         &mut self,
         params: &[f32],
         grads: &[f32],
-        _partials: Vec<crate::StatsPartial>,
+        _partials: Vec<StatsPartial>,
         _grad_scale: f32,
     ) -> Hyper {
-        // Measurement ignores gradient values: no scaled copy needed.
-        self.observe(params, grads)
+        let dim = *self.dim.get_or_insert(params.len());
+        check_lengths(dim, params, grads);
+        Hyper::new(self.lr, self.momentum)
     }
 
     fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {

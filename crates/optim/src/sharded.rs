@@ -1,20 +1,18 @@
-//! The shard-aware half of the optimizer API: [`Hyper`], [`ParamShard`],
+//! The shard-aware half of the optimizer API: [`ParamShard`],
 //! [`StatsPartial`], the per-shard state pool [`ShardedState`], and the
-//! drivers that fan a single tuned step out over disjoint parameter
-//! slices.
+//! driver that runs a single tuned step over disjoint parameter slices.
 //!
 //! YellowFin's loop (paper §3) is *measure → tune → apply*: the global
 //! statistics and the `(lr, momentum)` decision need the whole gradient
 //! once per step, but the update itself is per-coordinate. Both phases
 //! run sharded here:
 //!
-//! - **measure**: [`observe_sharded`] fans [`Optimizer::observe_shard`]
-//!   out over block-aligned slices, each returning a [`StatsPartial`] of
-//!   per-block `f64` partial sums, then hands them to
-//!   [`Optimizer::combine`] for the deterministic tree combine and the
-//!   scalar tuning decision;
-//! - **apply**: [`apply_sharded`] / [`step_grouped`] fan
-//!   [`Optimizer::step_shard`] out over the shard plan.
+//! - **measure**: [`Optimizer::observe_shard`] reduces block-aligned
+//!   slices to [`StatsPartial`]s of per-block `f64` Σg² sums, and
+//!   [`Optimizer::combine`] folds them with the deterministic tree
+//!   combine and makes the scalar tuning decision;
+//! - **apply**: [`Optimizer::step_shard`] updates each slice of the
+//!   shard plan.
 //!
 //! Partial reductions are block-structured (see [`yf_tensor::reduce`]),
 //! so the measured statistics — and therefore the whole trajectory — are
@@ -25,8 +23,8 @@
 //! (which holds the `&mut` the scalar tuning state needs while every
 //! worker is parked at the phase barrier), then the apply shards — no
 //! per-step thread spawns, no second fan-out. [`step_fused`] is that
-//! driver; [`observe_sharded`] / [`step_sharded`] / [`step_grouped`] are
-//! thin plans on top of it.
+//! driver; [`step_grouped`] plans it over named parameter groups, and
+//! [`step_sharded`] is the one-group plan.
 //!
 //! [`ShardedState`] is the helper every stateful optimizer shares: one
 //! lock-protected, lazily-initialized slot of state buffers per shard, so
@@ -86,13 +84,7 @@ impl ParamShard {
     /// this first so the length-mismatch panics of the one-phase API are
     /// preserved verbatim.
     pub fn validate(&self, params: &[f32], grads: &[f32]) {
-        assert_eq!(
-            params.len(),
-            grads.len(),
-            "optimizer: params ({}) and grads ({}) differ",
-            params.len(),
-            grads.len()
-        );
+        crate::check_same_len(params, grads);
         assert!(
             self.index < self.count,
             "optimizer: shard index {} out of plan of {}",
@@ -111,15 +103,13 @@ impl ParamShard {
 
 /// One shard's contribution to the measure phase: per-block `f64` partial
 /// sums over a block-aligned slice of the flat gradient (block size
-/// [`yf_tensor::reduce::BLOCK`]), plus an optional nested partial so
-/// middleware like [`crate::clip::Clipped`] can carry its wrapped
-/// optimizer's statistics through the same fan-out.
+/// [`yf_tensor::reduce::BLOCK`]).
 ///
 /// `sums` carries, by contract, the per-block **Σg² of the raw gradient
 /// slice** ([`StatsPartial::sumsq`]) — the one statistic every
 /// norm-measuring optimizer in the workspace needs. Fixing the meaning
 /// (instead of leaving it per-optimizer) is what lets clipping middleware
-/// share a single sweep with its wrapped optimizer rather than reducing
+/// hand its own partials to its wrapped optimizer rather than reducing
 /// the same slice twice; gradient scales are applied analytically at
 /// combine time, never to the sums.
 ///
@@ -135,20 +125,17 @@ pub struct StatsPartial {
     /// Per-block raw-gradient Σg² partial sums, one per block the shard
     /// overlaps.
     pub sums: Vec<f64>,
-    /// The wrapped optimizer's partial for the same shard (middleware).
-    pub inner: Option<Box<StatsPartial>>,
 }
 
 impl StatsPartial {
     /// Per-block Σg² partial for a shard starting at flat `offset` — the
-    /// partial every gradient-norm-measuring optimizer in the workspace
-    /// returns from [`Optimizer::observe_shard`].
+    /// partial [`Optimizer::observe_shard`] returns.
     ///
     /// # Panics
     ///
     /// Panics unless `offset` is a multiple of the reduction block size
-    /// (the [`observe_sharded`] driver aligns its plan; hand-rolled
-    /// callers must too).
+    /// (the [`step_fused`] driver aligns its plan; hand-rolled callers
+    /// must too).
     pub fn sumsq(offset: usize, grads: &[f32]) -> Self {
         assert_eq!(
             offset % reduce::BLOCK,
@@ -158,14 +145,7 @@ impl StatsPartial {
         StatsPartial {
             first_block: offset / reduce::BLOCK,
             sums: reduce::block_sumsq(grads),
-            inner: None,
         }
-    }
-
-    /// Attaches a wrapped optimizer's partial (middleware composition).
-    pub fn with_inner(mut self, inner: Option<StatsPartial>) -> Self {
-        self.inner = inner.map(Box::new);
-        self
     }
 
     /// Folds partials covering a `len`-coordinate vector into the global
@@ -195,14 +175,6 @@ impl StatsPartial {
             all.len()
         );
         reduce::tree_reduce(&all)
-    }
-
-    /// Moves the nested middleware partials out, preserving shard order.
-    pub fn take_inner(partials: &mut [StatsPartial]) -> Vec<StatsPartial> {
-        partials
-            .iter_mut()
-            .filter_map(|p| p.inner.take().map(|b| *b))
-            .collect()
     }
 }
 
@@ -474,20 +446,48 @@ fn observe_plan(total: usize, shards: usize) -> Vec<(usize, usize)> {
     plan
 }
 
+/// The measure phase of a one-shard step: the Σg² partial of the single
+/// whole-vector shard when `opt` consumes partials, none otherwise. Runs
+/// on the calling thread — the provided [`Optimizer::observe`] and a
+/// `shards <= 1` [`step_fused`] both measure through it, so a one-shard
+/// step never touches the pool.
+pub(crate) fn whole_partials<O: Optimizer + ?Sized>(
+    opt: &O,
+    params: &[f32],
+    grads: &[f32],
+) -> Vec<StatsPartial> {
+    if opt.needs_observe_partials() {
+        vec![opt.observe_shard(ParamShard::whole(grads.len()), params, grads)]
+    } else {
+        Vec::new()
+    }
+}
+
 /// Parameter vector handed across the fused dispatch as a raw pointer so
 /// the measure phase can read it shared while the apply phase later
 /// writes disjoint chunks through the same allocation.
 ///
-/// Safety contract (upheld by [`step_fused`]'s callers): all `read()`
-/// slices are dead before the first `chunk_mut` — the pool's phase
-/// barrier orders every phase-1/`mid` read strictly before any phase-2
-/// write — and phase-2 chunks are pairwise disjoint.
+/// Safety contract (upheld by [`step_grouped`]): no `read()` slice is
+/// accessed after the first `chunk_mut` — the pool's phase barrier orders
+/// every phase-1/`mid` read strictly before any phase-2 write — and
+/// phase-2 chunks are pairwise disjoint. The contract orders *accesses*:
+/// the `read()` slice is still a live, unused `&[f32]` argument of
+/// [`step_fused`] while phase 2 writes, which Rust's stricter aliasing
+/// models reject even though no read and write ever overlap in time.
 struct RawParams {
     ptr: *mut f32,
     len: usize,
 }
 
+// SAFETY: `ptr` and `len` describe a `&mut [f32]` that `step_grouped`
+// borrows for the whole dispatch, so the allocation outlives every pool
+// task that receives this handle; `f32` is `Send` and `len` is a plain
+// integer, so nothing here is tied to the creating thread.
 unsafe impl Send for RawParams {}
+// SAFETY: `&RawParams` exposes `ptr` and `len` only through the `unsafe`
+// `read`/`chunk_mut`, whose callers guarantee that reads end before the
+// first write and that concurrent chunks never overlap — so sharing the
+// handle across pool workers never yields aliasing `&mut` slices.
 unsafe impl Sync for RawParams {}
 
 impl RawParams {
@@ -502,9 +502,11 @@ impl RawParams {
     ///
     /// # Safety
     ///
-    /// No `chunk_mut` slice may be live, and the returned slice must be
-    /// dead before the next `chunk_mut`.
+    /// No `chunk_mut` slice may be live while the returned slice is
+    /// accessed.
     unsafe fn read(&self) -> &[f32] {
+        // SAFETY: `ptr`/`len` are the live slice borrowed in `new`; the
+        // caller rules out concurrent writes through `chunk_mut`.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
@@ -512,13 +514,26 @@ impl RawParams {
     ///
     /// # Safety
     ///
-    /// `[offset, offset + len)` must be in bounds, no `read()` slice may
-    /// be live, and concurrent `chunk_mut` ranges must not overlap.
+    /// No `read()` slice may be accessed while the chunk is live, and
+    /// concurrent `chunk_mut` ranges must not overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[offset, offset + len)` is out of bounds — in release
+    /// builds too, since the slice below is only sound in bounds.
     // The `&mut` out of `&self` is the entire point of this wrapper: the
     // disjointness/ordering contract above replaces the borrow checker.
     #[allow(clippy::mut_from_ref)]
     unsafe fn chunk_mut(&self, offset: usize, len: usize) -> &mut [f32] {
-        debug_assert!(offset + len <= self.len);
+        assert!(
+            offset + len <= self.len,
+            "raw params: chunk [{offset}, {}) out of {} coordinates",
+            offset + len,
+            self.len
+        );
+        // SAFETY: the range is in bounds of the slice borrowed in `new`
+        // (asserted above), and the caller guarantees nothing else
+        // accesses it while the chunk is live.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(offset), len) }
     }
 }
@@ -527,18 +542,20 @@ impl RawParams {
 /// persistent worker pool per optimizer step.
 ///
 /// Phase 1 fans [`Optimizer::observe_shard`] out over a block-aligned
-/// partition of the gradient; between the phases the pool runs the
-/// closure-side critical section exactly once on the calling thread —
-/// every worker is parked at the barrier, so the `&mut` borrow for
-/// [`Optimizer::combine`] (the deterministic tree fold plus the scalar
-/// tuning decision) is exclusive by construction; phase 2 runs
-/// `apply(task, &opt, hyper)` for `apply_tasks` tasks, which callers use
-/// to fan [`Optimizer::step_shard`] out over their shard plan. Returns
-/// the step's tuned [`Hyper`].
+/// partition of the gradient into at most `shards` chunks; between the
+/// phases the pool runs the closure-side critical section exactly once
+/// on the calling thread — every worker is parked at the barrier, so the
+/// `&mut` borrow for [`Optimizer::combine`] (the deterministic tree fold
+/// plus the scalar tuning decision) is exclusive by construction; phase
+/// 2 runs `apply(task, &opt, hyper)` for `apply_tasks` tasks, which
+/// callers use to fan [`Optimizer::step_shard`] out over their shard
+/// plan (0 tasks measures only). Returns the step's tuned [`Hyper`].
 ///
-/// Optimizers whose measure phase consumes no gradient reductions
-/// ([`Optimizer::needs_observe_partials`] is false), and `shards <= 1`
-/// plans, skip phase 1 entirely and go straight to `combine`.
+/// A `shards <= 1` step measures its one whole-vector partial inline on
+/// the calling thread, exactly as [`Optimizer::observe`] does, so it
+/// costs no pool fan-out. Optimizers whose measure phase consumes no
+/// gradient reductions ([`Optimizer::needs_observe_partials`] is false)
+/// skip phase 1 entirely and go straight to `combine`.
 ///
 /// The partition, the partial order, and the fold are identical to the
 /// whole-vector pass, so the result is bitwise equal to
@@ -557,19 +574,17 @@ pub fn step_fused(
     apply_tasks: usize,
     apply: impl Fn(usize, &dyn Optimizer, Hyper) + Sync,
 ) -> Hyper {
-    assert_eq!(
-        observe_params.len(),
-        grads.len(),
-        "optimizer: params ({}) and grads ({}) differ",
-        observe_params.len(),
-        grads.len()
-    );
-    let total = observe_params.len();
-    let use_partials = total > 0 && shards > 1 && opt.needs_observe_partials();
-    let plan = if use_partials {
-        observe_plan(total, shards)
+    crate::check_same_len(observe_params, grads);
+    let total = grads.len();
+    let (plan, inline) = if shards > 1 {
+        let plan = if opt.needs_observe_partials() {
+            observe_plan(total, shards)
+        } else {
+            Vec::new()
+        };
+        (plan, Vec::new())
     } else {
-        Vec::new()
+        (Vec::new(), whole_partials(&*opt, observe_params, grads))
     };
     let count = plan.len();
     let slots: Vec<Mutex<Option<StatsPartial>>> = (0..count).map(|_| Mutex::new(None)).collect();
@@ -599,10 +614,14 @@ pub fn step_fused(
         },
         || {
             let mut guard = cell.write().expect("optimizer cell");
-            let partials: Vec<StatsPartial> = slots
-                .iter()
-                .map(|s| s.lock().expect("partial slot").take().expect("shard ran"))
-                .collect();
+            // At most one of the inline partial and the fanned-out
+            // slots is non-empty.
+            let mut partials = inline;
+            partials.extend(
+                slots
+                    .iter()
+                    .map(|s| s.lock().expect("partial slot").take().expect("shard ran")),
+            );
             let hyper = guard.combine(observe_params, grads, partials, 1.0);
             let _ = hyper_slot.set(hyper);
             hyper
@@ -616,102 +635,25 @@ pub fn step_fused(
     )
 }
 
-/// The sharded measure phase: fans [`Optimizer::observe_shard`] out over
-/// a block-aligned partition of the gradient on the persistent pool, then
-/// folds the [`StatsPartial`]s with [`Optimizer::combine`] — which also
-/// makes the tuning decision and returns the step's [`Hyper`]. Bitwise
-/// identical to [`Optimizer::observe`] for every `shards` value.
-///
-/// This is [`step_fused`] with an empty apply phase. Optimizers whose
-/// measure phase consumes no gradient reductions
-/// ([`Optimizer::needs_observe_partials`] is false) skip the fan-out
-/// entirely and go straight to `combine`.
+/// One fully sharded step: the one-group case of [`step_grouped`], so
+/// measure, combine, and the apply over up to `shards` parallel slices
+/// share a single [`step_fused`] pool dispatch. With `shards <= 1` this
+/// is exactly the blanket [`Optimizer::step`]; reductions are
+/// block-structured and updates per-coordinate, so the result is bitwise
+/// identical for any shard count. Returns the step's tuned [`Hyper`].
 ///
 /// # Panics
 ///
 /// Panics if `params` and `grads` differ in length (same message as the
 /// one-phase API), or on whatever the optimizer's own `combine` checks.
-pub fn observe_sharded(
+pub fn step_sharded(
     opt: &mut dyn Optimizer,
-    params: &[f32],
+    params: &mut [f32],
     grads: &[f32],
     shards: usize,
 ) -> Hyper {
-    step_fused(opt, params, grads, shards, 0, |_, _, _| {})
-}
-
-/// One fully sharded step: the measure phase fanned out over
-/// block-aligned partial reductions, the deterministic combine, then the
-/// apply phase fanned out over the shard plan — all in a single
-/// [`step_fused`] pool dispatch. With `shards <= 1` this is exactly the
-/// blanket [`Optimizer::step`]; reductions are block-structured and
-/// updates per-coordinate, so the result is bitwise identical for any
-/// shard count.
-pub fn step_sharded(opt: &mut dyn Optimizer, params: &mut [f32], grads: &[f32], shards: usize) {
-    let total = params.len();
-    if total == 0 {
-        observe_sharded(opt, params, grads, shards);
-        return;
-    }
-    let shards_apply = shards.clamp(1, total);
-    let rows_per = parallel::chunk_rows(total, shards_apply);
-    let count = total.div_ceil(rows_per);
-    let raw = RawParams::new(params);
-    // SAFETY: the observe slice is only read in phase 1 and `combine`;
-    // the pool's phase barrier orders those reads strictly before the
-    // apply chunks below, which tile `[0, total)` without overlap.
-    step_fused(
-        opt,
-        unsafe { raw.read() },
-        grads,
-        shards,
-        count,
-        |i, opt, hyper| {
-            let offset = i * rows_per;
-            let len = rows_per.min(total - offset);
-            let shard = ParamShard {
-                index: i,
-                count,
-                offset,
-                total,
-            };
-            let chunk = unsafe { raw.chunk_mut(offset, len) };
-            opt.step_shard(shard, chunk, &grads[offset..offset + len], hyper);
-        },
-    );
-}
-
-/// The apply phase alone: fans `hyper` out over `shards` slices on the
-/// persistent pool. Use this when `observe` already ran (e.g. the caller
-/// inspected the tuned values first, or holds parameters behind
-/// per-shard locks).
-pub fn apply_sharded(
-    opt: &dyn Optimizer,
-    params: &mut [f32],
-    grads: &[f32],
-    hyper: Hyper,
-    shards: usize,
-) {
-    let total = params.len();
-    if total == 0 {
-        return;
-    }
-    let shards = shards.clamp(1, total);
-    if shards == 1 {
-        opt.step_shard(ParamShard::whole(total), params, grads, hyper);
-        return;
-    }
-    let rows_per = parallel::chunk_rows(total, shards);
-    let count = total.div_ceil(rows_per);
-    parallel::chunks_mut(params, 1, shards, |first, chunk| {
-        let shard = ParamShard {
-            index: first / rows_per,
-            count,
-            offset: first,
-            total,
-        };
-        opt.step_shard(shard, chunk, &grads[first..first + chunk.len()], hyper);
-    });
+    let whole = ParamGroups::single(params.len()).with_shards(shards.max(1));
+    step_grouped(opt, &whole, params, grads)
 }
 
 /// One contiguous apply chunk of the grouped plan, globally numbered.
@@ -732,17 +674,19 @@ struct ChunkDesc {
 /// groups so [`ShardedState`] sees one consistent plan; the measure phase
 /// runs over the whole vector (group boundaries do not affect the
 /// statistics), and measure, combine, and every group's apply chunks all
-/// share a single [`step_fused`] pool dispatch.
+/// share a single [`step_fused`] pool dispatch. Returns the step's tuned
+/// [`Hyper`] (before any group override).
 ///
 /// # Panics
 ///
-/// Panics if `groups.total()` does not match `params.len()`.
+/// Panics if `groups.total()` does not match `params.len()`, or if
+/// `params` and `grads` differ in length.
 pub fn step_grouped(
     opt: &mut dyn Optimizer,
     groups: &ParamGroups,
     params: &mut [f32],
     grads: &[f32],
-) {
+) -> Hyper {
     assert_eq!(
         groups.total(),
         params.len(),
@@ -775,11 +719,10 @@ pub fn step_grouped(
     }
     let count = base_index;
     let raw = RawParams::new(params);
-    // SAFETY: observe reads complete at the phase barrier before the
-    // apply chunks write; the chunk list tiles each group disjointly and
-    // the groups tile the vector.
     step_fused(
         opt,
+        // SAFETY: the measure phase and `combine` read this slice before
+        // the phase barrier; no apply chunk exists until after it.
         unsafe { raw.read() },
         grads,
         threads,
@@ -793,11 +736,14 @@ pub fn step_grouped(
                 offset: d.offset,
                 total,
             };
+            // SAFETY: phase 2 starts after every read of the observe
+            // slice; the chunk list tiles each group disjointly and the
+            // groups tile the vector, so concurrent chunks never overlap.
             let chunk = unsafe { raw.chunk_mut(d.offset, d.len) };
             let gslice = &grads[d.offset..d.offset + d.len];
             opt.step_shard(shard, chunk, gslice, g.adjust(base));
         },
-    );
+    )
 }
 
 #[cfg(test)]
@@ -897,10 +843,14 @@ mod tests {
             1,
             "measure + combine + apply must share one dispatch"
         );
-        // The measure-only driver is also a single dispatch.
+        // Measuring alone (no apply tasks) is also a single dispatch.
         let before = parallel::fanout_count();
-        observe_sharded(&mut opt, &x, &g, 4);
+        step_fused(&mut opt, &x, &g, 4, 0, |_, _, _| {});
         assert_eq!(parallel::fanout_count() - before, 1);
+        // A one-shard step measures inline: no fan-out at all.
+        let before = parallel::fanout_count();
+        step_sharded(&mut opt, &mut x, &g, 1);
+        assert_eq!(parallel::fanout_count() - before, 0);
     }
 
     #[test]
@@ -922,12 +872,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_sharded_on_stateless_optimizer() {
+    fn step_sharded_on_stateless_optimizer() {
         let mut opt = Sgd::new(0.5);
         let mut x = vec![1.0f32, 2.0, 3.0, 4.0, 5.0];
         let g = vec![2.0f32; 5];
-        let hyper = opt.observe(&x, &g);
-        apply_sharded(&opt, &mut x, &g, hyper, 3);
+        let hyper = step_sharded(&mut opt, &mut x, &g, 3);
+        assert_eq!(hyper, Hyper::new(0.5, 0.0));
         assert_eq!(x, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -1,16 +1,20 @@
-//! The server-side optimizer registry.
+//! The workspace's one optimizer registry.
 //!
-//! Sessions name their optimizer on the wire; this resolves the name to
-//! a boxed instance. The name set and the meaning of the grid value
-//! mirror the fleet registry (`yf-experiments`) — the serve crate sits
-//! *below* the experiments crate in the dependency graph, so the tuner
-//! constructors are repeated here rather than imported — and a test in
-//! the experiments crate pins the two registries to the same name set.
+//! Sessions name their optimizer on the wire and fleet jobs name theirs
+//! in a spec; both resolve the name here to a grid-value constructor.
+//! The serve crate sits below `yf-experiments` in the dependency graph,
+//! so the table lives here and the fleet re-exports it
+//! (`yf_experiments::fleet::registry::opt_builder`) — one table, so the
+//! served and the swept optimizers cannot drift apart.
 
 use yellowfin::{YellowFin, YellowFinConfig};
 use yf_optim::{AdaGrad, Adam, MomentumSgd, Optimizer, RmsProp, Sgd};
 
-/// The names [`build_optimizer`] resolves, in registry order.
+/// Grid-value constructor for a boxed optimizer (the grid value is the
+/// learning rate, or the lr factor for YellowFin).
+pub type OptBuilder = fn(f32) -> Box<dyn Optimizer>;
+
+/// The names [`opt_builder`] resolves, in registry order.
 pub const OPTIMIZER_NAMES: [&str; 7] = [
     "sgd",
     "momentum",
@@ -21,23 +25,32 @@ pub const OPTIMIZER_NAMES: [&str; 7] = [
     "yellowfin",
 ];
 
-/// Builds a session optimizer from its wire name and grid value (the
-/// learning rate, or the Appendix J.4 lr factor for `"yellowfin"`).
+/// Resolves an optimizer name to its grid-value constructor. Momentum
+/// variants fix the paper's 0.9 momentum; the grid value is the learning
+/// rate (for `"yellowfin"`, the Appendix J.4 learning-rate factor).
 /// `None` for unknown names.
-pub fn build_optimizer(name: &str, value: f32) -> Option<Box<dyn Optimizer>> {
+pub fn opt_builder(name: &str) -> Option<OptBuilder> {
     Some(match name {
-        "sgd" => Box::new(Sgd::new(value)),
-        "momentum" => Box::new(MomentumSgd::new(value, 0.9)),
-        "nesterov" => Box::new(MomentumSgd::nesterov(value, 0.9)),
-        "adam" => Box::new(Adam::new(value)),
-        "adagrad" => Box::new(AdaGrad::new(value)),
-        "rmsprop" => Box::new(RmsProp::new(value)),
-        "yellowfin" => Box::new(YellowFin::new(YellowFinConfig {
-            lr_factor: f64::from(value),
-            ..YellowFinConfig::default()
-        })),
+        "sgd" => |lr| Box::new(Sgd::new(lr)),
+        "momentum" => |lr| Box::new(MomentumSgd::new(lr, 0.9)),
+        "nesterov" => |lr| Box::new(MomentumSgd::nesterov(lr, 0.9)),
+        "adam" => |lr| Box::new(Adam::new(lr)),
+        "adagrad" => |lr| Box::new(AdaGrad::new(lr)),
+        "rmsprop" => |lr| Box::new(RmsProp::new(lr)),
+        "yellowfin" => |lr_factor| {
+            Box::new(YellowFin::new(YellowFinConfig {
+                lr_factor: f64::from(lr_factor),
+                ..YellowFinConfig::default()
+            }))
+        },
         _ => return None,
     })
+}
+
+/// Builds a session optimizer from its wire name and grid value: the
+/// [`opt_builder`] constructor applied to `value`.
+pub fn build_optimizer(name: &str, value: f32) -> Option<Box<dyn Optimizer>> {
+    opt_builder(name).map(|build| build(value))
 }
 
 #[cfg(test)]

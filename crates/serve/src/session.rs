@@ -15,7 +15,6 @@ use crate::filter::QualityFilter;
 use crate::proto::OpenSpec;
 use crate::registry::build_optimizer;
 use crate::snapshot::SessionSnapshot;
-use yf_optim::sharded::observe_sharded;
 use yf_optim::{Hyper, Optimizer};
 use yf_tensor::reduce;
 
@@ -82,7 +81,7 @@ impl Session {
     }
 
     /// Processes one measurement: screens it, feeds accepted gradients
-    /// through the sharded observe/combine pipeline, clamps the tuned
+    /// through the optimizer's `observe`, clamps the tuned
     /// proposal through the authority limits, and advances the step.
     ///
     /// Re-sending the immediately previous step (`self.step() - 1`) is
@@ -122,7 +121,7 @@ impl Session {
                 reason: reason.to_string(),
             },
             Ok(()) => {
-                let tuned = observe_sharded(self.opt.as_mut(), &self.zeros, grads, 1);
+                let tuned = self.opt.observe(&self.zeros, grads);
                 let (hyper, clamped) = self.spec.authority.clamp(self.last, tuned);
                 self.last = Some(hyper);
                 Outcome::Tuned { hyper, clamped }
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn serves_the_same_hypers_as_an_in_process_tuner() {
         // A session with a wide-open authority envelope must relay the
-        // raw observe_sharded stream bit-for-bit.
+        // raw `observe` stream bit-for-bit.
         let mut wide = spec("yellowfin");
         wide.value = 1.0;
         wide.authority.max_lr_step = 1e6;
@@ -206,7 +205,7 @@ mod tests {
         let mut rng = Pcg32::seed(7);
         for step in 0..40 {
             let g = grad(&mut rng, wide.dim, 1.0);
-            let want = observe_sharded(reference.as_mut(), &zeros, &g, 1);
+            let want = reference.observe(&zeros, &g);
             match session.measure(step, 0.5, &g).unwrap() {
                 Outcome::Tuned { hyper, .. } => {
                     assert_eq!(hyper.lr.to_bits(), want.lr.to_bits(), "step {step}");

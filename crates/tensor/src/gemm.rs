@@ -45,7 +45,7 @@
 //! steady-state training loop performs no per-call heap allocation here.
 
 use crate::elementwise::{copy_short, zero_short};
-use crate::parallel;
+use crate::parallel::{self, Par};
 use crate::scratch::Scratch;
 
 /// Rows of the micro-kernel register tile.
@@ -514,7 +514,7 @@ fn run_gemm<const NR: usize>(
                 // accumulate onto the partial results.
                 let beta_cur = if pc == 0 { beta } else { 1.0 };
                 let (bbuf, abufs) = (&bbuf, &abufs);
-                parallel::chunks_mut(c, n, threads, |row0, c_rows| {
+                parallel::chunks_mut(c, n, Par::threads(threads), |row0, c_rows| {
                     let mut abuf = abufs[row0 / rows_per_chunk]
                         .lock()
                         .expect("gemm A-buffer lock");

@@ -30,9 +30,7 @@
 //!
 //! Kernels take a single [`Par`] parameter instead of an ad-hoc trailing
 //! `threads: usize`: [`Par::pool`] (full kernel-layer width),
-//! [`Par::serial`], or [`Par::threads`] for an explicit cap.
-//! `impl From<usize>` keeps `usize` call sites working: `n` means what it
-//! always meant, "at most `n` chunks".
+//! [`Par::serial`], or [`Par::threads`]`(n)` for "at most `n` chunks".
 //!
 //! The thread count comes from `YF_NUM_THREADS` when set (any positive
 //! integer), else from [`std::thread::available_parallelism`]. It is read
@@ -123,14 +121,6 @@ impl Par {
     /// capped by [`threads_for`] (so small workloads stay serial).
     pub fn chunks_for(self, elems: usize) -> usize {
         self.budget().min(threads_for(elems))
-    }
-}
-
-impl From<usize> for Par {
-    /// `n` chunks at most — back-compat with the old `threads: usize`
-    /// kernel arguments (0 is clamped to 1, as it always was).
-    fn from(n: usize) -> Par {
-        Par::Threads(n)
     }
 }
 
@@ -644,7 +634,7 @@ impl Pool {
     /// # Panics
     ///
     /// Panics if `unit == 0` or `data.len()` is not a multiple of `unit`.
-    pub fn chunks_mut<T, F>(&self, data: &mut [T], unit: usize, par: impl Into<Par>, f: F)
+    pub fn chunks_mut<T, F>(&self, data: &mut [T], unit: usize, par: Par, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
@@ -660,7 +650,7 @@ impl Pool {
             return;
         }
         let rows = data.len() / unit;
-        let chunks = par.into().budget().clamp(1, rows);
+        let chunks = par.budget().clamp(1, rows);
         if chunks <= 1 {
             f(0, data);
             return;
@@ -703,7 +693,7 @@ impl Pool {
         unit_a: usize,
         b: &mut [B],
         unit_b: usize,
-        par: impl Into<Par>,
+        par: Par,
         f: F,
     ) where
         A: Send,
@@ -731,7 +721,7 @@ impl Pool {
         if rows == 0 {
             return;
         }
-        let chunks = par.into().budget().clamp(1, rows);
+        let chunks = par.budget().clamp(1, rows);
         if chunks <= 1 {
             f(0, a, b);
             return;
@@ -861,7 +851,7 @@ pub fn chunk_rows(rows: usize, threads: usize) -> usize {
 
 /// [`Pool::chunks_mut`] on the global pool — the way kernels fan row
 /// ranges of an output buffer out.
-pub fn chunks_mut<T, F>(data: &mut [T], unit: usize, par: impl Into<Par>, f: F)
+pub fn chunks_mut<T, F>(data: &mut [T], unit: usize, par: Par, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -870,14 +860,8 @@ where
 }
 
 /// [`Pool::chunks_mut2`] on the global pool.
-pub fn chunks_mut2<A, B, F>(
-    a: &mut [A],
-    unit_a: usize,
-    b: &mut [B],
-    unit_b: usize,
-    par: impl Into<Par>,
-    f: F,
-) where
+pub fn chunks_mut2<A, B, F>(a: &mut [A], unit_a: usize, b: &mut [B], unit_b: usize, par: Par, f: F)
+where
     A: Send,
     B: Send,
     F: Fn(usize, &mut [A], &mut [B]) + Sync,
@@ -894,7 +878,7 @@ mod tests {
     fn covers_all_rows_once() {
         for threads in [1, 2, 3, 7, 64] {
             let mut data = vec![0u32; 10 * 3];
-            chunks_mut(&mut data, 3, threads, |first_row, chunk| {
+            chunks_mut(&mut data, 3, Par::threads(threads), |first_row, chunk| {
                 for (r, row) in chunk.chunks_mut(3).enumerate() {
                     for v in row {
                         *v += (first_row + r) as u32 + 1;
@@ -909,7 +893,9 @@ mod tests {
     #[test]
     fn empty_input_is_a_noop() {
         let mut data: Vec<f32> = Vec::new();
-        chunks_mut(&mut data, 4, 8, |_, _| panic!("no chunks expected"));
+        chunks_mut(&mut data, 4, Par::threads(8), |_, _| {
+            panic!("no chunks expected")
+        });
     }
 
     #[test]
@@ -932,7 +918,8 @@ mod tests {
         for threads in [1, 2, 5, 16] {
             let mut vals = vec![0u32; 7 * 4];
             let mut tags = vec![0u32; 7];
-            chunks_mut2(&mut vals, 4, &mut tags, 1, threads, |first, va, tb| {
+            let par = Par::threads(threads);
+            chunks_mut2(&mut vals, 4, &mut tags, 1, par, |first, va, tb| {
                 assert_eq!(va.len() / 4, tb.len());
                 for (r, (row, tag)) in va.chunks_mut(4).zip(tb.iter_mut()).enumerate() {
                     let id = (first + r) as u32;
@@ -952,13 +939,13 @@ mod tests {
     fn paired_chunks_reject_ragged_rows() {
         let mut a = vec![0f32; 8];
         let mut b = vec![0f32; 3];
-        chunks_mut2(&mut a, 2, &mut b, 1, 2, |_, _, _| {});
+        chunks_mut2(&mut a, 2, &mut b, 1, Par::threads(2), |_, _, _| {});
     }
 
     #[test]
-    fn par_from_usize_keeps_threads_semantics() {
-        assert_eq!(Par::from(0).budget(), 1);
-        assert_eq!(Par::from(3).budget(), 3);
+    fn par_threads_keeps_threads_semantics() {
+        assert_eq!(Par::threads(0).budget(), 1);
+        assert_eq!(Par::threads(3).budget(), 3);
         assert_eq!(Par::serial().budget(), 1);
         assert_eq!(Par::pool().budget(), num_threads());
         assert_eq!(Par::threads(5), Par::Threads(5));
@@ -1054,7 +1041,7 @@ mod tests {
             for workers in [1usize, 2, 4, 7] {
                 let pool = Pool::new(workers);
                 let mut got = init.clone();
-                pool.chunks_mut(&mut got, 4, budget, kernel);
+                pool.chunks_mut(&mut got, 4, Par::threads(budget), kernel);
                 assert_eq!(got, want, "workers = {workers}, budget = {budget}");
             }
         }
@@ -1166,12 +1153,12 @@ mod tests {
         let init: Vec<f32> = (0..29 * 4).map(|i| (i as f32 * 0.9).sin()).collect();
         let pool = Pool::new(3);
         let mut want = init.clone();
-        pool.chunks_mut(&mut want, 4, 4, kernel);
+        pool.chunks_mut(&mut want, 4, Par::threads(4), kernel);
         let mut got = init.clone();
         pool.run_phased(
             2,
             |_| {},
-            || pool.chunks_mut(&mut got, 4, 4, kernel),
+            || pool.chunks_mut(&mut got, 4, Par::threads(4), kernel),
             0,
             |_| {},
         );
@@ -1219,7 +1206,7 @@ mod tests {
             |_| {},
             || {
                 let mut data = vec![0f32; 8];
-                pool.chunks_mut(&mut data, 1, 4, |_, c| c.fill(1.0));
+                pool.chunks_mut(&mut data, 1, Par::threads(4), |_, c| c.fill(1.0));
                 assert!(data.iter().all(|&v| v == 1.0));
             },
             2,
@@ -1261,12 +1248,14 @@ mod tests {
         let before = fanout_count();
         let mut data = vec![0f32; 64];
         // Single-chunk plan: a plain call, no fan-out.
-        chunks_mut(&mut data, 1, 1, |_, c| c.fill(1.0));
+        chunks_mut(&mut data, 1, Par::threads(1), |_, c| c.fill(1.0));
         assert_eq!(fanout_count(), before);
         // Multi-chunk plan: exactly one fan-out, even though the inner
         // dispatch nests.
-        chunks_mut(&mut data, 1, 4, |_, c| {
-            chunks_mut(c, 1, 4, |_, cc| cc.iter_mut().for_each(|v| *v += 1.0));
+        chunks_mut(&mut data, 1, Par::threads(4), |_, c| {
+            chunks_mut(c, 1, Par::threads(4), |_, cc| {
+                cc.iter_mut().for_each(|v| *v += 1.0)
+            });
         });
         assert_eq!(fanout_count(), before + 1);
         assert!(data.iter().all(|&v| v == 2.0));

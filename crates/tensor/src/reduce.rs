@@ -238,7 +238,7 @@ pub fn ema_update_stats_parallel(
     beta: f64,
     scale: f64,
     corr: f64,
-    par: impl Into<Par>,
+    par: Par,
 ) -> f64 {
     let n = xs.len();
     if n == 0 {
@@ -246,7 +246,7 @@ pub fn ema_update_stats_parallel(
     }
     let nblocks = blocks_for(n);
     let mut var_blocks = vec![0.0f64; nblocks];
-    let chunks = par.into().budget().clamp(1, nblocks);
+    let chunks = par.budget().clamp(1, nblocks);
     if chunks <= 1 {
         ema_update_stats(b1, b2, xs, beta, scale, corr, &mut var_blocks);
         return tree_reduce(&var_blocks);
@@ -362,6 +362,7 @@ mod tests {
         let n = 3 * BLOCK + 100;
         let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.013).sin() * 2.0).collect();
         let run = |threads: usize| {
+            let par = Par::threads(threads);
             let mut b1 = vec![0.0f64; n];
             let mut b2 = vec![0.0f64; n];
             let mut totals = Vec::new();
@@ -369,7 +370,7 @@ mod tests {
             for _ in 0..3 {
                 corr = 0.9 * corr + 0.1;
                 totals.push(ema_update_stats_parallel(
-                    &mut b1, &mut b2, &xs, 0.9, 1.0, corr, threads,
+                    &mut b1, &mut b2, &xs, 0.9, 1.0, corr, par,
                 ));
             }
             (b1, b2, totals)

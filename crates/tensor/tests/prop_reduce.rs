@@ -8,6 +8,7 @@
 //! a plain serial fold.
 
 use proptest::prelude::*;
+use yf_tensor::parallel::Par;
 use yf_tensor::reduce::{self, BLOCK};
 
 /// The spec, written naively: per-block four-lane sums, tree-combined.
@@ -120,7 +121,7 @@ proptest! {
         let mut b1 = vec![0.0f64; n];
         let mut b2 = vec![0.0f64; n];
         let total =
-            reduce::ema_update_stats_parallel(&mut b1, &mut b2, &xs, beta, scale, corr, threads);
+            reduce::ema_update_stats_parallel(&mut b1, &mut b2, &xs, beta, scale, corr, Par::threads(threads));
         prop_assert_eq!(&b1, &r1, "first moments (threads = {})", threads);
         prop_assert_eq!(&b2, &r2, "second moments (threads = {})", threads);
         prop_assert_eq!(total.to_bits(), ref_var.to_bits());

@@ -14,19 +14,133 @@
 //! 3. **Middleware composition**: `Clipped` and `Scheduled` wrap any
 //!    optimizer, compose with the sharded drivers, and schedules no-op
 //!    on self-tuning optimizers.
+//! 4. **Trait surface**: a wrapper forwarding every trait method, and an
+//!    external-style optimizer implementing only the required ones (so
+//!    every provided default is exercised), meet the same contracts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use yellowfin::{ClosedLoopAdam, ClosedLoopYellowFin, YellowFin, YellowFinConfig};
 use yf_experiments::task::{ModelTask, TrainTask};
 use yf_nn::Mlp;
+use yf_optim::checkpoint::OptStateError;
 use yf_optim::clip::Clipped;
 use yf_optim::schedule::{Schedule, Scheduled};
-use yf_optim::sharded::{apply_sharded, observe_sharded, step_sharded};
-use yf_optim::{AdaGrad, Adam, MomentumSgd, Optimizer, RmsProp, Sgd};
+use yf_optim::sharded::step_sharded;
+use yf_optim::{
+    AdaGrad, Adam, Hyper, MomentumSgd, Optimizer, ParamShard, RmsProp, Sgd, StatsPartial,
+};
 use yf_tensor::rng::Pcg32;
 use yf_tensor::Tensor;
 
 type OptFactory = (&'static str, fn() -> Box<dyn Optimizer>);
+
+/// Forwards every trait method to the wrapped optimizer, the way an
+/// instrumenting wrapper (a tracing probe, say) does; the trajectory must
+/// be bitwise that of the wrapped optimizer alone.
+struct Forwarding(Box<dyn Optimizer>);
+
+impl Optimizer for Forwarding {
+    fn observe(&mut self, params: &[f32], grads: &[f32]) -> Hyper {
+        self.0.observe(params, grads)
+    }
+
+    fn observe_shard(&self, shard: ParamShard, params: &[f32], grads: &[f32]) -> StatsPartial {
+        self.0.observe_shard(shard, params, grads)
+    }
+
+    fn combine(
+        &mut self,
+        params: &[f32],
+        grads: &[f32],
+        partials: Vec<StatsPartial>,
+        grad_scale: f32,
+    ) -> Hyper {
+        self.0.combine(params, grads, partials, grad_scale)
+    }
+
+    fn needs_observe_partials(&self) -> bool {
+        self.0.needs_observe_partials()
+    }
+
+    fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {
+        self.0.step_shard(shard, params, grads, hyper)
+    }
+
+    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+        self.0.step(params, grads)
+    }
+
+    fn checkpoint_state(&self) -> Option<String> {
+        self.0.checkpoint_state()
+    }
+
+    fn restore_checkpoint(&mut self, text: &str) -> Result<(), OptStateError> {
+        self.0.restore_checkpoint(text)
+    }
+
+    fn learning_rate(&self) -> f32 {
+        self.0.learning_rate()
+    }
+
+    fn set_learning_rate(&mut self, lr: f32) {
+        self.0.set_learning_rate(lr)
+    }
+
+    fn is_self_tuning(&self) -> bool {
+        self.0.is_self_tuning()
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// Plain SGD written the way an optimizer outside the workspace would
+/// be: only the required methods, so `observe`, `observe_shard`,
+/// `needs_observe_partials`, `step` and the checkpoint methods are the
+/// trait's provided defaults.
+struct MinimalSgd {
+    lr: f32,
+    dim: Option<usize>,
+}
+
+impl Optimizer for MinimalSgd {
+    fn combine(
+        &mut self,
+        params: &[f32],
+        grads: &[f32],
+        partials: Vec<StatsPartial>,
+        grad_scale: f32,
+    ) -> Hyper {
+        // The provided `needs_observe_partials` is false: no measure
+        // phase runs, and the top-level scale is 1.
+        assert!(partials.is_empty(), "minimal-sgd: unrequested partials");
+        assert_eq!(grad_scale, 1.0);
+        assert_eq!(params.len(), grads.len(), "minimal-sgd: lengths differ");
+        let dim = *self.dim.get_or_insert(params.len());
+        assert_eq!(dim, params.len(), "minimal-sgd: parameter count changed");
+        Hyper::new(self.lr, 0.0)
+    }
+
+    fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {
+        shard.validate(params, grads);
+        for (p, &g) in params.iter_mut().zip(grads) {
+            *p -= hyper.lr * hyper.grad_scale * g;
+        }
+    }
+
+    fn learning_rate(&self) -> f32 {
+        self.lr
+    }
+
+    fn set_learning_rate(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
+    fn name(&self) -> &'static str {
+        "minimal-sgd"
+    }
+}
 
 /// Every optimizer in the workspace, including middleware-wrapped ones.
 fn all_optimizers() -> Vec<OptFactory> {
@@ -61,8 +175,8 @@ fn all_optimizers() -> Vec<OptFactory> {
         }),
         ("clipped-yellowfin", || {
             // Middleware clipping around a measuring optimizer: the
-            // clip factor must reach the tuner's measurements through
-            // the nested-partial channel, not a gradient copy.
+            // clip factor must reach the tuner's measurements as a
+            // scale on the shared Σg² partials, not a gradient copy.
             Box::new(Clipped::new(YellowFin::default(), 0.5))
         }),
         ("scheduled-clipped-adam", || {
@@ -70,6 +184,15 @@ fn all_optimizers() -> Vec<OptFactory> {
                 Clipped::new(Adam::new(0.01), 1.0),
                 Schedule::EveryEpoch { factor: 0.9 },
             ))
+        }),
+        ("forwarding-clipped-yellowfin", || {
+            Box::new(Forwarding(Box::new(Clipped::new(
+                YellowFin::default(),
+                0.5,
+            ))))
+        }),
+        ("minimal-sgd", || {
+            Box::new(MinimalSgd { lr: 0.1, dim: None })
         }),
     ]
 }
@@ -103,7 +226,9 @@ fn run_mlp(opt: &mut dyn Optimizer, steps: usize, shards_for: impl Fn(usize) -> 
         let (_, grad) = task.loss_grad_at(&params, step as u64);
         match shards_for(step) {
             0 => opt.step(&mut params, &grad),
-            n => step_sharded(opt, &mut params, &grad, n),
+            n => {
+                step_sharded(opt, &mut params, &grad, n);
+            }
         }
     }
     params
@@ -125,10 +250,11 @@ fn sharded_apply_is_bitwise_identical_to_step() {
 
 #[test]
 fn sharded_observe_is_bitwise_identical_to_whole_vector_observe() {
-    // The measure phase alone: at every step, `observe_sharded` over
-    // 1/2/4/7 block-aligned shards must return exactly the Hyper the
-    // whole-vector `observe` returns, and the optimizer state it leaves
-    // behind must drive an identical trajectory.
+    // The measure phase: at every step, the Hyper a 1/2/4/7-shard
+    // `step_sharded` tunes (block-aligned partials, one combine) must be
+    // exactly the Hyper the whole-vector `observe` returns, and the
+    // optimizer state it leaves behind must drive an identical
+    // trajectory.
     for (name, make) in all_optimizers() {
         for shards in [1usize, 2, 4, 7] {
             let mut task_a = mlp_task(77);
@@ -141,13 +267,12 @@ fn sharded_observe_is_bitwise_identical_to_whole_vector_observe() {
                 let (_, ga) = task_a.loss_grad_at(&xa, step as u64);
                 let (_, gb) = task_b.loss_grad_at(&xb, step as u64);
                 let ha = a.observe(&xa, &ga);
-                let hb = observe_sharded(b.as_mut(), &xb, &gb, shards);
+                a.step_shard(ParamShard::whole(xa.len()), &mut xa, &ga, ha);
+                let hb = step_sharded(b.as_mut(), &mut xb, &gb, shards);
                 assert_eq!(
                     ha, hb,
                     "{name}: step {step}, {shards}-shard observe returned a different Hyper"
                 );
-                apply_sharded(a.as_ref(), &mut xa, &ga, ha, 1);
-                apply_sharded(b.as_ref(), &mut xb, &gb, hb, 2);
             }
             assert_eq!(xa, xb, "{name}: {shards}-shard observe diverged");
         }
