@@ -31,17 +31,14 @@
 //! median ns per measurement over loopback TCP, for both wire dialects
 //! (line JSON and the negotiated binary fast path, each forced
 //! explicitly so the entries are stable under `YF_SERVE_WIRE`), at 1
-//! and at 32 concurrent sessions, plus a pipelined entry running the
-//! binary dialect with an 8-deep send-ahead window. The negotiated
-//! dialect and that window are recorded in the header (`serve_wire`,
-//! `serve_client_window`).
+//! and at 32 concurrent sessions. The negotiated dialect is recorded in
+//! the header (`serve_wire`).
 //!
 //! The serve entries' *speedup* column is contextual (each seed is
 //! re-measured in the same run: the in-process pipeline for the JSON
-//! entries, the same-run JSON wire cost for the binary entries, the
-//! unpipelined binary cost for the pipelined entry), so the gate does
-//! not band it. Instead `serve_measure_*` entries gate on **absolute
-//! median ns** against the committed baseline, within
+//! entries, the same-run JSON wire cost for the binary entries), so the
+//! gate does not band it. Instead `serve_measure_*` entries gate on
+//! **absolute median ns** against the committed baseline, within
 //! `YF_PERF_SERVE_TOL` — and are skipped wholesale (with a warning)
 //! when the baseline's `serve_wire` header does not match this run.
 //!
@@ -734,10 +731,9 @@ fn main() {
     // --- Tuning-as-a-service throughput: ns per measurement served
     // through the full yf-serve stack — loopback TCP, quality filter,
     // observe/combine, authority clamp (snapshots off) — in both wire
-    // dialects, at 1 session and at 32 concurrent sessions, plus the
-    // binary dialect under an 8-deep send-ahead window. Dialect and
-    // window are forced per entry through an explicit [`ClientConfig`]
-    // so the numbers do not move under `YF_SERVE_WIRE`.
+    // dialects, at 1 session and at 32 concurrent sessions. The dialect
+    // is forced per entry through an explicit [`ClientConfig`] so the
+    // numbers do not move under `YF_SERVE_WIRE`.
     //
     // Seed columns are contextual (which is why these entries gate on
     // absolute ns, not the speedup band):
@@ -746,8 +742,6 @@ fn main() {
     //   throughput retained over the JSON wire.
     // - `serve_measure_binary_*`: the same-run JSON wire cost — the
     //   speedup is the binary fast path's wire gain.
-    // - `serve_measure_pipelined`: the same-run lock-step binary cost —
-    //   the speedup is what the send-ahead window buys.
     //
     // measurements/sec = 1e9 / median_ns. Each timed batch opens fresh
     // sessions (session steps are strictly sequential), so the
@@ -771,16 +765,15 @@ fn main() {
             }
         }
 
-        fn wire_cfg(wire: WireDialect, window: usize) -> ClientConfig {
+        fn wire_cfg(wire: WireDialect) -> ClientConfig {
             ClientConfig {
                 wire,
-                window,
                 ..ClientConfig::default()
             }
         }
 
         /// One client streaming one session end to end: connect, open,
-        /// `frames` measurements `window` ahead, close.
+        /// `frames` lock-step measurements, close.
         fn stream_one(
             addr: std::net::SocketAddr,
             cfg: &ClientConfig,
@@ -790,19 +783,8 @@ fn main() {
             let mut client = Client::connect_with(addr, cfg).expect("connect yf-serve");
             let name = spec.session.clone();
             client.open(spec).expect("open session");
-            if cfg.window > 1 {
-                for (i, g) in grads.iter().enumerate() {
-                    std::hint::black_box(
-                        client
-                            .submit_measure(&name, i as u64, 0.5, g)
-                            .expect("submit"),
-                    );
-                }
-                std::hint::black_box(client.drain_verdicts().expect("drain"));
-            } else {
-                for (i, g) in grads.iter().enumerate() {
-                    std::hint::black_box(client.measure(&name, i as u64, 0.5, g).expect("measure"));
-                }
+            for (i, g) in grads.iter().enumerate() {
+                std::hint::black_box(client.measure(&name, i as u64, 0.5, g).expect("measure"));
             }
             client.close_session(&name).expect("close session");
         }
@@ -813,9 +795,8 @@ fn main() {
         })
         .expect("start yf-serve");
         let addr = server.local_addr();
-        let json_cfg = wire_cfg(WireDialect::Json, 1);
-        let bin_cfg = wire_cfg(WireDialect::Binary, 1);
-        let piped_cfg = wire_cfg(WireDialect::Binary, 8);
+        let json_cfg = wire_cfg(WireDialect::Json);
+        let bin_cfg = wire_cfg(WireDialect::Binary);
         let mut round = 0u64;
 
         // Seed for the JSON entries: the same measurement stream through
@@ -857,20 +838,6 @@ fn main() {
         };
         push("serve_measure_binary_1_session", bin_one, json_one);
 
-        let piped = {
-            let batch = median_ns(|| {
-                round += 1;
-                stream_one(
-                    addr,
-                    &piped_cfg,
-                    open_spec(format!("pipe-{round}"), dim),
-                    &grads,
-                );
-            });
-            (batch / frames as u128).max(1)
-        };
-        push("serve_measure_pipelined", piped, bin_one);
-
         let many = 32usize;
         let mut stream_many = |cfg: &ClientConfig, tag: &str| {
             let round = &mut round;
@@ -904,7 +871,6 @@ fn main() {
         let _ = server.drain();
         negotiated
     };
-    let serve_client_window = 8usize;
 
     // --- Dispatch accounting: one full tuned optimizer step (measure →
     // combine → apply, 1M params, 4 shards) must ride exactly one pool
@@ -946,7 +912,6 @@ fn main() {
         bl.mc, bl.kc, bl.nc
     );
     let _ = writeln!(json, "  \"serve_wire\": \"{serve_wire}\",");
-    let _ = writeln!(json, "  \"serve_client_window\": {serve_client_window},");
     let _ = writeln!(json, "  \"unit\": \"median ns per op\",");
     let _ = writeln!(json, "  \"kernels\": {{");
     for (i, e) in entries.iter().enumerate() {

@@ -11,6 +11,14 @@ use crate::ema::{Ema, VecEma};
 use std::collections::VecDeque;
 use yf_tensor::parallel::Par;
 
+/// Most window slots [`CurvatureRange::new`] reserves up front. Every
+/// practical width fits, so the step loop never reallocates the window
+/// (small reallocations there fragment the heap around the large
+/// per-step buffers and raise peak RSS); a wider window, such as an
+/// oversized one a remote peer asked for, grows as it fills instead of
+/// allocating its full width at construction.
+const MAX_RESERVED_WIDTH: usize = 1024;
+
 /// Algorithm 2: running estimates of the extremal curvatures
 /// `h_max`/`h_min` from a sliding window of `h_t = ||g_t||^2`.
 ///
@@ -40,7 +48,7 @@ impl CurvatureRange {
     pub fn new(width: usize, beta: f64, limit_growth: bool) -> Self {
         assert!(width > 0, "curvature range: window width must be positive");
         CurvatureRange {
-            window: VecDeque::with_capacity(width),
+            window: VecDeque::with_capacity(width.min(MAX_RESERVED_WIDTH)),
             width,
             log_h_max: Ema::new(beta),
             log_h_min: Ema::new(beta),

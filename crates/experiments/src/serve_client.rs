@@ -27,11 +27,9 @@
 //!   reconciles from the server's `opened{step}` replay point: already
 //!   processed measurements whose replies were lost are re-sent and
 //!   answered idempotently from the session's cached verdict, the rest
-//!   replay in order — pipelined through the client's send-ahead
-//!   window (`YF_SERVE_CLIENT_WINDOW`), so a deep buffer drains in
-//!   bandwidth time rather than one round-trip per measurement. Any
-//!   fault schedule that eventually reconnects therefore yields a
-//!   Hyper trajectory bitwise identical to the fault-free run.
+//!   replay in order, one lock-step round-trip each. Any fault
+//!   schedule that eventually reconnects therefore yields a Hyper
+//!   trajectory bitwise identical to the fault-free run.
 //! - **Graceful degradation.** When the server stays unreachable past
 //!   [`RemoteTunerConfig::degrade_after`], the tuner serves the
 //!   shadow's verdicts instead of hanging; [`RemoteTuner::degraded`]
@@ -435,36 +433,17 @@ impl RemoteTuner {
         {
             self.pending.pop_front();
         }
-        // Replay through the client's send-ahead window: submissions
-        // stream without waiting for each verdict, so a long outage's
-        // buffer drains in roughly one round-trip plus bandwidth rather
-        // than one round-trip per measurement. Verdicts arrive strictly
-        // in order; the newest one is this step's outcome.
-        let mut newest_reply = None;
+        // Replay in order, lock-step; the last verdict — the newest
+        // measurement's — is this step's outcome.
+        let mut reply = None;
         for m in &self.pending {
-            let verdicts = client
-                .submit_measure(&self.spec.session, m.step, m.loss, &m.grads)
-                .map_err(|_| ResyncError::Transient)?;
-            for (t, reply) in verdicts {
-                if t == newest {
-                    newest_reply = Some(reply);
-                }
-            }
+            reply = Some(
+                client
+                    .measure(&self.spec.session, m.step, m.loss, &m.grads)
+                    .map_err(|_| ResyncError::Transient)?,
+            );
         }
-        for (t, reply) in client
-            .drain_verdicts()
-            .map_err(|_| ResyncError::Transient)?
-        {
-            if t == newest {
-                newest_reply = Some(reply);
-            }
-        }
-        let Some(reply) = newest_reply else {
-            // The server acknowledged everything yet never answered the
-            // newest step — a protocol violation; treat like a lost
-            // reply and retry.
-            return Err(ResyncError::Transient);
-        };
+        let reply = reply.expect("resync always has the current measurement buffered");
         self.pending.clear();
         self.link = Link::Live(client);
         Ok(reply_to_outcome(reply))

@@ -26,26 +26,12 @@
 //! With `ClientConfig::wire = Binary` (knob: `YF_SERVE_WIRE=binary`)
 //! the client requests the [`yf_wire::binary`] data-plane dialect at
 //! `open` and, once the server echoes it, streams measurements as raw
-//! binary frames — including `grad_delta` frames (XOR/RLE against the
-//! previous step's gradient) whenever they are smaller than the full
-//! payload. Deltas are bit-exact by construction, and the client falls
-//! back to full frames whenever its base is uncertain: after an error,
-//! a reconnect, or for replayed steps that do not advance the server
-//! session (whose base only moves on advancing measurements).
-//!
-//! ## Pipelining
-//!
-//! [`Client::measure`] is lock-step — one verdict per measurement —
-//! because its callers need the verdict to produce the next gradient.
-//! [`Client::submit_measure`] / [`Client::drain_verdicts`] expose the
-//! windowed path (`ClientConfig::window`, knob
-//! `YF_SERVE_CLIENT_WINDOW`): up to `window` measurements may be in
-//! flight before a send blocks on the oldest verdict. Replies are
-//! matched in submission order with the same stale-skip rules as
-//! `measure`, so duplicates from a chaotic network are absorbed.
+//! binary frames. Either way every measurement is one full frame, and
+//! [`Client::measure`] waits for its verdict before the next is sent
+//! (lock-step): its callers need the verdict to produce the next
+//! gradient.
 
 use crate::proto::{self, ClientFrame, OpenSpec, ProtoError, ServerFrame, WireDialect};
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -115,10 +101,6 @@ pub struct ClientConfig {
     /// speaks binary after the server echoes it; against a JSON-only
     /// server this degrades transparently.
     pub wire: WireDialect,
-    /// Send-ahead window for [`Client::submit_measure`]: how many
-    /// measurements may be awaiting verdicts before a send blocks.
-    /// 1 (the default) is lock-step.
-    pub window: usize,
 }
 
 impl Default for ClientConfig {
@@ -128,16 +110,14 @@ impl Default for ClientConfig {
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(5),
             wire: WireDialect::Json,
-            window: 1,
         }
     }
 }
 
 impl ClientConfig {
     /// The defaults with `YF_SERVE_CLIENT_CONNECT_MS`, `_READ_MS`,
-    /// `_WRITE_MS`, `YF_SERVE_WIRE`, and `YF_SERVE_CLIENT_WINDOW`
-    /// applied (hardened parsing: malformed values warn on stderr and
-    /// fall back).
+    /// `_WRITE_MS`, and `YF_SERVE_WIRE` applied (hardened parsing:
+    /// malformed values warn on stderr and fall back).
     pub fn from_env() -> ClientConfig {
         let mut cfg = ClientConfig::default();
         let ms = |raw: &str| raw.trim().parse::<u64>().ok().filter(|&n| n > 0);
@@ -151,9 +131,6 @@ impl ClientConfig {
             cfg.write_timeout = Duration::from_millis(n);
         }
         cfg.wire = WireDialect::from_env();
-        if let Some(n) = env::positive_usize("YF_SERVE_CLIENT_WINDOW") {
-            cfg.window = n;
-        }
         cfg
     }
 }
@@ -197,19 +174,6 @@ pub enum MeasureReply {
     Rejected { reason: String },
 }
 
-/// Per-session wire bookkeeping for the delta encoder.
-struct SessionWire {
-    /// The step the server said it expects next at `open`. Steps below
-    /// this are idempotent replays that do *not* advance the server
-    /// session — so they never move its delta base, and must never
-    /// move ours.
-    advance_from: u64,
-    /// The gradient of the newest advancing measurement sent on this
-    /// connection, keyed by its step: the delta base the server will
-    /// hold once it processes that frame.
-    base: Option<(u64, Vec<f32>)>,
-}
-
 /// A blocking serve-protocol client.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -219,19 +183,13 @@ pub struct Client {
     /// The dialect the server has actually echoed (starts Json; flips
     /// to Binary on the first `opened` ack that grants it).
     negotiated: WireDialect,
-    window: usize,
-    /// `(session, step)` of submitted measurements whose verdicts have
-    /// not arrived, oldest first.
-    in_flight: VecDeque<(String, u64)>,
-    sessions: HashMap<String, SessionWire>,
-    deltas_sent: u64,
 }
 
 impl Client {
     /// Connects to a running server with the environment-configured
-    /// deadlines, dialect, and window ([`ClientConfig::from_env`]), so
-    /// `YF_SERVE_WIRE` / `YF_SERVE_CLIENT_WINDOW` reach every caller
-    /// that does not construct an explicit config.
+    /// deadlines and dialect ([`ClientConfig::from_env`]), so
+    /// `YF_SERVE_WIRE` reaches every caller that does not construct an
+    /// explicit config.
     ///
     /// # Errors
     ///
@@ -267,10 +225,6 @@ impl Client {
                         writer: stream,
                         requested: cfg.wire,
                         negotiated: WireDialect::Json,
-                        window: cfg.window.max(1),
-                        in_flight: VecDeque::new(),
-                        sessions: HashMap::new(),
-                        deltas_sent: 0,
                     });
                 }
                 Err(e) => last = e,
@@ -312,7 +266,7 @@ impl Client {
                 Ok(ServerFrame::from_binary(tag, payload)?)
             }
             Err(ReadError::Io(e)) => Err(e.into()),
-            Err(ReadError::Frame(e)) => Err(ClientError::Protocol(e.to_string())),
+            Err(e) => Err(ClientError::Protocol(e.to_string())),
         }
     }
 
@@ -320,16 +274,6 @@ impl Client {
     /// (Json until an `opened` ack says otherwise).
     pub fn wire(&self) -> WireDialect {
         self.negotiated
-    }
-
-    /// How many delta-encoded measurement frames this client has sent.
-    pub fn deltas_sent(&self) -> u64 {
-        self.deltas_sent
-    }
-
-    /// Measurements submitted but not yet answered.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// Opens (or resumes) a session; returns the step index the server
@@ -360,13 +304,6 @@ impl Client {
                     if self.requested == WireDialect::Binary && wire == WireDialect::Binary {
                         self.negotiated = WireDialect::Binary;
                     }
-                    self.sessions.insert(
-                        name,
-                        SessionWire {
-                            advance_from: step,
-                            base: None,
-                        },
-                    );
                     return Ok(step);
                 }
                 // Leftover replies to requests sent before this open
@@ -386,149 +323,11 @@ impl Client {
         }
     }
 
-    /// Encodes and sends one measurement in the negotiated dialect,
-    /// choosing a delta frame when the client holds a usable base and
-    /// the delta actually saves bytes.
-    fn send_measure_frame(
-        &mut self,
-        session: &str,
-        step: u64,
-        loss: f32,
-        grads: &[f32],
-    ) -> Result<(), ClientError> {
-        if self.negotiated != WireDialect::Binary {
-            return self.send(&ClientFrame::Measure {
-                session: session.to_string(),
-                step,
-                loss,
-                grads: grads.to_vec(),
-            });
-        }
-        let mut frame: Option<Vec<u8>> = None;
-        if let Some(sw) = self.sessions.get(session) {
-            if let Some((base_step, base)) = &sw.base {
-                if base_step + 1 == step && base.len() == grads.len() {
-                    let runs = binary::delta_encode(base, grads);
-                    // Only worth it when smaller than the raw payload.
-                    if runs.len() < grads.len() * 4 {
-                        frame = Some(proto::encode_grad_delta(
-                            session,
-                            step,
-                            loss,
-                            grads.len(),
-                            &runs,
-                        ));
-                    }
-                }
-            }
-        }
-        let delta = frame.is_some();
-        let bytes = frame.unwrap_or_else(|| proto::encode_measure(session, step, loss, grads));
-        self.writer.write_all(&bytes)?;
-        if delta {
-            self.deltas_sent += 1;
-        }
-        // Move the base optimistically — but only for advancing steps.
-        // A replayed step (below `advance_from`) is answered from the
-        // server's verdict cache without touching its base, so ours
-        // must not move either.
-        if let Some(sw) = self.sessions.get_mut(session) {
-            if step >= sw.advance_from {
-                sw.base = Some((step, grads.to_vec()));
-            }
-        }
-        Ok(())
-    }
-
-    /// Drops every delta base. Called on any error: a failed or
-    /// rejected frame means the server's base may not match ours, so
-    /// the next measurement goes out as a full gradient.
-    fn reset_bases(&mut self) {
-        for sw in self.sessions.values_mut() {
-            sw.base = None;
-        }
-    }
-
-    /// Blocks for the verdict of the *oldest* in-flight measurement,
-    /// skipping stale duplicates. Transport failures clear the
-    /// in-flight queue (the connection is poisoned anyway); server
-    /// `error` frames consume the oldest slot — the server answers
-    /// every data frame in order, so the error is that frame's reply.
-    fn recv_verdict(&mut self) -> Result<(String, u64, MeasureReply), ClientError> {
-        let (ref sess, step) = *self
-            .in_flight
-            .front()
-            .expect("recv_verdict with nothing in flight");
-        let sess = sess.clone();
-        loop {
-            let frame = match self.recv() {
-                Ok(f) => f,
-                Err(e) => {
-                    self.in_flight.clear();
-                    self.reset_bases();
-                    return Err(e);
-                }
-            };
-            match frame {
-                ServerFrame::Tuned {
-                    session: s,
-                    step: t,
-                    hyper,
-                    clamped,
-                } => {
-                    if s == sess && t == step {
-                        self.in_flight.pop_front();
-                        return Ok((s, t, MeasureReply::Tuned { hyper, clamped }));
-                    }
-                    if t >= step {
-                        self.in_flight.clear();
-                        self.reset_bases();
-                        return Err(ClientError::Protocol(format!(
-                            "tuned reply for {s:?} step {t}, expected {sess:?} step {step}"
-                        )));
-                    }
-                    // t < step: stale duplicate; skip.
-                }
-                ServerFrame::Rejected {
-                    session: s,
-                    step: t,
-                    reason,
-                } => {
-                    if s == sess && t == step {
-                        self.in_flight.pop_front();
-                        return Ok((s, t, MeasureReply::Rejected { reason }));
-                    }
-                    if t >= step {
-                        self.in_flight.clear();
-                        self.reset_bases();
-                        return Err(ClientError::Protocol(format!(
-                            "rejected reply for {s:?} step {t}, expected {sess:?} step {step}"
-                        )));
-                    }
-                }
-                // A late opened/pong from before this request: skip.
-                ServerFrame::Opened { .. } | ServerFrame::Pong { .. } => {}
-                ServerFrame::Error { message, .. } => {
-                    self.in_flight.pop_front();
-                    self.reset_bases();
-                    return Err(ClientError::Server(message));
-                }
-                other => {
-                    self.in_flight.clear();
-                    self.reset_bases();
-                    return Err(ClientError::Protocol(format!(
-                        "expected hyper/rejected, got {other:?}"
-                    )));
-                }
-            }
-        }
-    }
-
-    /// Streams one measurement and blocks for the verdict for exactly
-    /// `(session, step)`. Replies to earlier steps — duplicates from
-    /// retries or a chaotic network — are skipped. Lock-step regardless
-    /// of the configured window: callers of this method need the
-    /// verdict before they can produce the next gradient.
+    /// Streams one measurement as a full frame in the negotiated
+    /// dialect and blocks for the verdict for exactly `(session, step)`.
+    /// Replies to earlier steps — duplicates from retries or a chaotic
+    /// network — are skipped; a reply for this or a later step that is
+    /// not ours is a protocol error.
     ///
     /// # Errors
     ///
@@ -542,59 +341,49 @@ impl Client {
         loss: f32,
         grads: &[f32],
     ) -> Result<MeasureReply, ClientError> {
-        self.send_measure_frame(session, step, loss, grads)?;
-        self.in_flight.push_back((session.to_string(), step));
+        if self.negotiated == WireDialect::Binary {
+            self.writer
+                .write_all(&proto::encode_measure(session, step, loss, grads))?;
+        } else {
+            self.send(&ClientFrame::Measure {
+                session: session.to_string(),
+                step,
+                loss,
+                grads: grads.to_vec(),
+            })?;
+        }
         loop {
-            let (s, t, reply) = self.recv_verdict()?;
+            let (s, t, reply) = match self.recv()? {
+                ServerFrame::Tuned {
+                    session: s,
+                    step: t,
+                    hyper,
+                    clamped,
+                } => (s, t, MeasureReply::Tuned { hyper, clamped }),
+                ServerFrame::Rejected {
+                    session: s,
+                    step: t,
+                    reason,
+                } => (s, t, MeasureReply::Rejected { reason }),
+                // A late opened/pong from before this request: skip.
+                ServerFrame::Opened { .. } | ServerFrame::Pong { .. } => continue,
+                ServerFrame::Error { message, .. } => return Err(ClientError::Server(message)),
+                other => {
+                    return Err(ClientError::Protocol(format!(
+                        "expected hyper/rejected, got {other:?}"
+                    )))
+                }
+            };
             if s == session && t == step {
                 return Ok(reply);
             }
-            // A verdict for an older windowed submission (a caller
-            // mixing the APIs): keep draining toward ours.
+            if t >= step {
+                return Err(ClientError::Protocol(format!(
+                    "verdict for {s:?} step {t}, expected {session:?} step {step}"
+                )));
+            }
+            // t < step: stale duplicate; skip.
         }
-    }
-
-    /// Submits one measurement on the send-ahead window and returns any
-    /// verdicts that had to be collected to keep at most
-    /// [`ClientConfig::window`] measurements in flight (in submission
-    /// order, tagged with their step). With `window = 1` this is
-    /// exactly [`Client::measure`] with a different return shape.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::measure`]; any error also clears the in-flight
-    /// queue and delta bases (resubmit from the replay buffer on a
-    /// fresh connection).
-    pub fn submit_measure(
-        &mut self,
-        session: &str,
-        step: u64,
-        loss: f32,
-        grads: &[f32],
-    ) -> Result<Vec<(u64, MeasureReply)>, ClientError> {
-        self.send_measure_frame(session, step, loss, grads)?;
-        self.in_flight.push_back((session.to_string(), step));
-        let mut done = Vec::new();
-        while self.in_flight.len() > self.window {
-            let (_, t, reply) = self.recv_verdict()?;
-            done.push((t, reply));
-        }
-        Ok(done)
-    }
-
-    /// Blocks until every in-flight measurement is answered; returns
-    /// the verdicts in submission order, tagged with their step.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::measure`].
-    pub fn drain_verdicts(&mut self) -> Result<Vec<(u64, MeasureReply)>, ClientError> {
-        let mut done = Vec::new();
-        while !self.in_flight.is_empty() {
-            let (_, t, reply) = self.recv_verdict()?;
-            done.push((t, reply));
-        }
-        Ok(done)
     }
 
     /// Detaches a session (it persists server-side and can be
@@ -712,19 +501,14 @@ mod tests {
     }
 
     #[test]
-    fn wire_and_window_env_knobs_use_hardened_parsing() {
+    fn wire_env_knob_uses_hardened_parsing() {
         std::env::set_var("YF_SERVE_WIRE", "binary");
-        std::env::set_var("YF_SERVE_CLIENT_WINDOW", "4");
         let cfg = ClientConfig::from_env();
         assert_eq!(cfg.wire, WireDialect::Binary);
-        assert_eq!(cfg.window, 4);
         std::env::set_var("YF_SERVE_WIRE", "quantum");
-        std::env::set_var("YF_SERVE_CLIENT_WINDOW", "several");
         let cfg = ClientConfig::from_env();
         assert_eq!(cfg.wire, WireDialect::Json, "malformed falls back");
-        assert_eq!(cfg.window, 1, "malformed falls back");
         std::env::remove_var("YF_SERVE_WIRE");
-        std::env::remove_var("YF_SERVE_CLIENT_WINDOW");
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //!   per-connection outbound queues with slow-client shedding, idle
 //!   reaping, graceful drain, and SIGKILL-safe durability.
 //! - [`client`]: a small blocking client with connect/read/write
-//!   deadlines and a deterministic reconnect backoff schedule.
+//!   deadlines and a deterministic reconnect backoff schedule; it sends
+//!   each measurement as one full frame and waits for its verdict
+//!   (lock-step).
 //! - [`chaos`]: a deterministic fault-injecting TCP proxy (`YF_CHAOS`)
 //!   for testing every layer above against reproducible network
 //!   failures.

@@ -21,10 +21,10 @@
 //!
 //! - **json** (default): the PR 8 line protocol, hex-bit floats.
 //! - **binary**: [`yf_wire::binary`] frames with raw little-endian f32
-//!   bit patterns — `measure` ([`TAG_MEASURE`]), `grad_delta`
-//!   ([`TAG_GRAD_DELTA`], XOR/RLE against the previous step's
-//!   gradient), `hyper` ([`TAG_TUNED`]) and `rejected`
-//!   ([`TAG_REJECTED`]).
+//!   bit patterns — `measure` ([`TAG_MEASURE`]), `hyper`
+//!   ([`TAG_TUNED`]) and `rejected` ([`TAG_REJECTED`]). Every
+//!   measurement carries its full gradient; tag 2 (a retired
+//!   gradient-delta frame) is an unknown tag.
 //!
 //! A client requests the binary dialect with `"wire":"binary"` in its
 //! `open` frame; the server echoes the dialect it will actually speak
@@ -508,11 +508,6 @@ impl ServerFrame {
 /// count x u32 grad_bits`.
 pub const TAG_MEASURE: u8 = 1;
 
-/// Binary frame tag: a delta-encoded `measure` against the previous
-/// step's gradient. Payload: `str16 session | u64 step | u32 loss_bits
-/// | u32 dim | delta runs` (see [`yf_wire::binary::delta_encode`]).
-pub const TAG_GRAD_DELTA: u8 = 2;
-
 /// Binary frame tag: a `hyper` verdict. Payload: `str16 session | u64
 /// step | u32 lr_bits | u32 momentum_bits | u32 grad_scale_bits |
 /// u8 clamped`.
@@ -521,27 +516,6 @@ pub const TAG_TUNED: u8 = 3;
 /// Binary frame tag: a `rejected` verdict. Payload: `str16 session |
 /// u64 step | str16 reason`.
 pub const TAG_REJECTED: u8 = 4;
-
-/// A client measurement decoded from a binary data frame. A `Delta`
-/// still needs the server-side copy of the previous step's gradient to
-/// reconstruct — the server resolves it against its per-session base
-/// and answers with a typed error when it has none.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BinMeasure {
-    Full {
-        session: String,
-        step: u64,
-        loss: f32,
-        grads: Vec<f32>,
-    },
-    Delta {
-        session: String,
-        step: u64,
-        loss: f32,
-        dim: usize,
-        runs: Vec<u8>,
-    },
-}
 
 /// Encodes a full-gradient measurement as one [`TAG_MEASURE`] frame.
 pub fn encode_measure(session: &str, step: u64, loss: f32, grads: &[f32]) -> Vec<u8> {
@@ -554,27 +528,14 @@ pub fn encode_measure(session: &str, step: u64, loss: f32, grads: &[f32]) -> Vec
     binary::frame(TAG_MEASURE, &b.into_payload())
 }
 
-/// Encodes a delta measurement (runs from
-/// [`yf_wire::binary::delta_encode`] against the previous step's
-/// gradient) as one [`TAG_GRAD_DELTA`] frame.
-pub fn encode_grad_delta(session: &str, step: u64, loss: f32, dim: usize, runs: &[u8]) -> Vec<u8> {
-    let mut b = Builder::new();
-    b.str16(session)
-        .u64(step)
-        .u32(loss.to_bits())
-        .u32(dim as u32)
-        .bytes(runs);
-    binary::frame(TAG_GRAD_DELTA, &b.into_payload())
-}
-
 /// Decodes a client binary data frame (already [`yf_wire::binary::decode`]d
-/// into tag + payload).
+/// into tag + payload) into the [`ClientFrame::Measure`] it carries.
 ///
 /// # Errors
 ///
 /// [`ProtoError`] on server-only tags, unknown tags, or malformed
 /// payloads; never panics.
-pub fn decode_bin_measure(tag: u8, payload: &[u8]) -> Result<BinMeasure, ProtoError> {
+pub fn decode_bin_measure(tag: u8, payload: &[u8]) -> Result<ClientFrame, ProtoError> {
     let mut c = Cursor::new(payload);
     match tag {
         TAG_MEASURE => {
@@ -591,25 +552,11 @@ pub fn decode_bin_measure(tag: u8, payload: &[u8]) -> Result<BinMeasure, ProtoEr
                 .chunks_exact(4)
                 .map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().expect("4-byte chunk"))))
                 .collect();
-            Ok(BinMeasure::Full {
+            Ok(ClientFrame::Measure {
                 session,
                 step,
                 loss,
                 grads,
-            })
-        }
-        TAG_GRAD_DELTA => {
-            let session = c.str16()?.to_string();
-            let step = c.u64()?;
-            let loss = f32::from_bits(c.u32()?);
-            let dim = c.u32()? as usize;
-            let runs = c.rest().to_vec();
-            Ok(BinMeasure::Delta {
-                session,
-                step,
-                loss,
-                dim,
-                runs,
             })
         }
         TAG_TUNED | TAG_REJECTED => Err(ProtoError::new(format!(
@@ -686,7 +633,7 @@ impl ServerFrame {
                 c.finish()?;
                 Ok(frame)
             }
-            TAG_MEASURE | TAG_GRAD_DELTA => Err(ProtoError::new(format!(
+            TAG_MEASURE => Err(ProtoError::new(format!(
                 "client-to-server frame tag {tag} on the server-to-client path"
             ))),
             other => Err(BinError::BadTag(other).into()),
@@ -833,18 +780,42 @@ mod tests {
     }
 
     #[test]
+    fn json_measure_lines_for_any_binary_sized_gradient_fit_the_line_cap() {
+        // A JSON measure line costs 9 bytes per float plus an envelope
+        // that does not grow with the gradient; the reader's line cap
+        // must admit the line of every gradient a binary frame can carry.
+        // Lengths count the newline, as MAX_LINE does.
+        let line_len = |n: usize| {
+            ClientFrame::Measure {
+                session: "s".repeat(128),
+                step: u64::MAX,
+                loss: f32::NAN,
+                grads: vec![f32::MIN; n],
+            }
+            .to_line()
+            .len()
+                + 1
+        };
+        let per_float = line_len(2) - line_len(1);
+        assert_eq!(per_float, 9);
+        let envelope = line_len(1) - per_float;
+        let max_floats = binary::MAX_PAYLOAD / 4;
+        assert!(max_floats * per_float + envelope <= binary::MAX_LINE);
+    }
+
+    #[test]
     fn binary_measure_frames_round_trip_bit_exactly() {
         let grads = vec![1.0f32, f32::NAN, -0.0, f32::INFINITY, 3.5e-41];
         let frame = encode_measure("sess.a", 42, f32::NAN, &grads);
         let (tag, payload) = binary::decode(&frame).unwrap();
-        let BinMeasure::Full {
+        let ClientFrame::Measure {
             session,
             step,
             loss,
             grads: back,
         } = decode_bin_measure(tag, payload).unwrap()
         else {
-            panic!("expected full measure");
+            panic!("expected a measure");
         };
         assert_eq!(session, "sess.a");
         assert_eq!(step, 42);
@@ -853,25 +824,6 @@ mod tests {
         for (a, b) in back.iter().zip(grads.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn binary_delta_frames_round_trip() {
-        let runs = [7u8, 0, 0, 0, 0, 0, 0, 0];
-        let frame = encode_grad_delta("s", 3, 0.25, 7, &runs);
-        let (tag, payload) = binary::decode(&frame).unwrap();
-        let BinMeasure::Delta {
-            session,
-            step,
-            loss,
-            dim,
-            runs: back,
-        } = decode_bin_measure(tag, payload).unwrap()
-        else {
-            panic!("expected delta measure");
-        };
-        assert_eq!((session.as_str(), step, loss, dim), ("s", 3, 0.25, 7));
-        assert_eq!(back, runs);
     }
 
     #[test]
@@ -922,6 +874,20 @@ mod tests {
         assert!(decode_bin_measure(99, &[]).is_err());
         assert!(ServerFrame::from_binary(TAG_MEASURE, &[]).is_err());
         assert!(ServerFrame::from_binary(99, &[]).is_err());
+        // Tag 2 is the retired gradient-delta frame: whatever an older
+        // client put in its payload (`session | step | loss | dim |
+        // runs`), either direction answers with the typed BadTag.
+        let mut old = Builder::new();
+        old.str16("s")
+            .u64(3)
+            .u32(0.25f32.to_bits())
+            .u32(7)
+            .u32(7)
+            .u32(0);
+        let old = old.into_payload();
+        let bad_tag: ProtoError = BinError::BadTag(2).into();
+        assert_eq!(decode_bin_measure(2, &old), Err(bad_tag.clone()));
+        assert_eq!(ServerFrame::from_binary(2, &old), Err(bad_tag));
         // Truncated payloads are typed errors, not panics.
         let frame = encode_measure("s", 0, 0.5, &[1.0, 2.0]);
         let (tag, payload) = binary::decode(&frame).unwrap();

@@ -20,13 +20,12 @@
 //! double-advancing. An idle detached session is
 //! eventually reaped by the background sweeper (snapshot first), and a
 //! `drain` frame — or [`Server::drain`] — snapshots everything and
-//! shuts the server down. With `snapshot_every = 1` (the default) every
-//! processed measurement is sealed to disk before its reply is queued,
-//! so even SIGKILL loses nothing: the restarted server re-opens every
-//! session at its snapshot step and the replayed stream continues
-//! bit-exactly.
+//! shuts the server down. With a snapshot directory, every processed
+//! measurement is sealed to disk before its reply is queued, so even
+//! SIGKILL loses nothing: the restarted server re-opens every session
+//! at its snapshot step and the replayed stream continues bit-exactly.
 
-use crate::proto::{self, BinMeasure, ClientFrame, OpenSpec, ServerFrame, WireDialect};
+use crate::proto::{self, ClientFrame, OpenSpec, ServerFrame, WireDialect};
 use crate::session::{Outcome, Session};
 use crate::snapshot::{self, SessionSnapshot};
 use std::collections::HashMap;
@@ -50,7 +49,8 @@ pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks a free port).
     pub addr: String,
     /// Where sealed session snapshots live; `None` disables durability
-    /// (sessions die with the process).
+    /// (sessions die with the process). With a directory, every
+    /// processed measurement is sealed before its reply.
     pub snapshot_dir: Option<PathBuf>,
     /// Max concurrently hosted sessions.
     pub max_sessions: usize,
@@ -64,9 +64,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Cadence of the idle-reaper sweep.
     pub reap_tick: Duration,
-    /// Snapshot every Nth processed measurement (1 = every measurement;
-    /// 0 = only on detach, close, reap, and drain).
-    pub snapshot_every: u64,
 }
 
 impl Default for ServeConfig {
@@ -79,7 +76,6 @@ impl Default for ServeConfig {
             outbound_queue: 256,
             idle_timeout: Duration::from_secs(300),
             reap_tick: Duration::from_millis(500),
-            snapshot_every: 1,
         }
     }
 }
@@ -119,11 +115,6 @@ impl ServeConfig {
             raw.trim().parse::<u64>().ok().filter(|&n| n > 0)
         }) {
             cfg.reap_tick = Duration::from_millis(ms);
-        }
-        if let Some(n) = env::parse_with("YF_SERVE_SNAPSHOT_EVERY", |raw| {
-            raw.trim().parse::<u64>().ok()
-        }) {
-            cfg.snapshot_every = n;
         }
         cfg
     }
@@ -176,14 +167,6 @@ struct Entry {
     /// corrupting the trajectory.
     epoch: u64,
     last_active: Instant,
-    /// The gradient of the last measurement that *advanced* the
-    /// session, keyed by its step: the reconstruction base for
-    /// `grad_delta` frames. Deliberately not part of the snapshot —
-    /// after a restart (or resume-from-snapshot) the base is gone and
-    /// the client's first advancing frame must be a full gradient.
-    /// Never set from an idempotent cached-verdict replay: replayed
-    /// frames may legally carry garbage payloads.
-    prev: Option<(u64, Vec<f32>)>,
 }
 
 struct Shared {
@@ -418,18 +401,22 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let mut owned: HashMap<String, u64> = HashMap::new();
     let mut reader = BufReader::new(read_half);
     // The mixed-dialect reader: a 0xF5 byte starts a binary frame,
-    // anything else a JSON line. Unframable binary traffic cannot be
-    // re-synchronized, so an Err ends the connection like any other
-    // transport failure.
+    // anything else a JSON line. Unframable binary traffic and lines
+    // past the length cap cannot be re-synchronized, so an Err ends the
+    // connection like any other transport failure.
     'conn: while let Ok(Some(frame)) = binary::read_frame(&mut reader) {
         let reply = match frame {
             RawFrame::Line(line) => {
                 if line.trim().is_empty() {
                     continue;
                 }
-                json_reply(&process_line(shared, &mut owned, &line))
+                json_reply(&process_frame(
+                    shared,
+                    &mut owned,
+                    ClientFrame::from_line(&line),
+                ))
             }
-            RawFrame::Binary(raw) => process_binary(shared, &owned, &raw),
+            RawFrame::Binary(raw) => process_binary(shared, &mut owned, &raw),
         };
         match tx.try_send(reply) {
             Ok(()) => {}
@@ -487,57 +474,24 @@ fn json_reply(frame: &ServerFrame) -> Vec<u8> {
     bytes
 }
 
-/// The gradient payload of one measurement, before reconstruction.
-enum GradPayload<'a> {
-    /// The full flat gradient.
-    Full(&'a [f32]),
-    /// An XOR/RLE delta against the previous step's gradient; `dim` is
-    /// the client's claimed dimension, checked against the base.
-    Delta { dim: usize, runs: &'a [u8] },
-}
-
 /// Handles one binary frame. Data replies mirror the request's dialect
 /// (binary in, binary out); error frames have no binary encoding and
 /// travel as JSON in either dialect.
-fn process_binary(shared: &Shared, owned: &HashMap<String, u64>, raw: &[u8]) -> Vec<u8> {
-    let decoded = binary::decode(raw)
+fn process_binary(shared: &Shared, owned: &mut HashMap<String, u64>, raw: &[u8]) -> Vec<u8> {
+    let frame = binary::decode(raw)
         .map_err(proto::ProtoError::from)
         .and_then(|(tag, payload)| proto::decode_bin_measure(tag, payload));
-    let reply = match &decoded {
-        Err(e) => error(None, e.to_string()),
-        Ok(BinMeasure::Full {
-            session,
-            step,
-            loss,
-            grads,
-        }) => process_measure(
-            shared,
-            owned,
-            session,
-            *step,
-            *loss,
-            GradPayload::Full(grads),
-        ),
-        Ok(BinMeasure::Delta {
-            session,
-            step,
-            loss,
-            dim,
-            runs,
-        }) => process_measure(
-            shared,
-            owned,
-            session,
-            *step,
-            *loss,
-            GradPayload::Delta { dim: *dim, runs },
-        ),
-    };
+    let reply = process_frame(shared, owned, frame);
     reply.to_binary().unwrap_or_else(|| json_reply(&reply))
 }
 
-fn process_line(shared: &Shared, owned: &mut HashMap<String, u64>, line: &str) -> ServerFrame {
-    let frame = match ClientFrame::from_line(line) {
+/// Handles one client frame, decoded from either dialect.
+fn process_frame(
+    shared: &Shared,
+    owned: &mut HashMap<String, u64>,
+    frame: Result<ClientFrame, proto::ProtoError>,
+) -> ServerFrame {
+    let frame = match frame {
         Ok(f) => f,
         Err(e) => return error(None, e.to_string()),
     };
@@ -548,14 +502,7 @@ fn process_line(shared: &Shared, owned: &mut HashMap<String, u64>, line: &str) -
             step,
             loss,
             grads,
-        } => process_measure(
-            shared,
-            owned,
-            &session,
-            step,
-            loss,
-            GradPayload::Full(&grads),
-        ),
+        } => process_measure(shared, owned, &session, step, loss, &grads),
         ClientFrame::Close { session } => process_close(shared, owned, &session),
         ClientFrame::Ping { token } => {
             // The heartbeat: keep this connection's sessions warm.
@@ -649,7 +596,6 @@ fn process_open(
             attached: true,
             epoch: 0,
             last_active: Instant::now(),
-            prev: None,
         })),
     );
     owned.insert(name.clone(), 0);
@@ -666,7 +612,7 @@ fn process_measure(
     session: &str,
     step: u64,
     loss: f32,
-    payload: GradPayload<'_>,
+    grads: &[f32],
 ) -> ServerFrame {
     let Some(&epoch) = owned.get(session) else {
         return error(Some(session), "session not open on this connection");
@@ -691,62 +637,13 @@ fn process_measure(
     if shared.draining.load(Ordering::SeqCst) {
         return error(Some(session), "server is draining");
     }
-    // Reconstruct a delta payload against the previous advancing
-    // step's gradient. Every failure mode is a typed error frame the
-    // client answers by re-sending the step as a full gradient — the
-    // session itself never sees a bad reconstruction.
-    let reconstructed: Vec<f32>;
-    let grads: &[f32] = match payload {
-        GradPayload::Full(g) => g,
-        GradPayload::Delta { dim, runs } => {
-            let Some((base_step, base)) = &e.prev else {
-                return error(
-                    Some(session),
-                    "no delta base on the server: send a full measure frame",
-                );
-            };
-            if base_step + 1 != step {
-                return error(
-                    Some(session),
-                    format!(
-                        "delta base is at step {base_step}, cannot reconstruct step {step}: \
-                         send a full measure frame"
-                    ),
-                );
-            }
-            if base.len() != dim {
-                return error(
-                    Some(session),
-                    format!(
-                        "delta dim {dim} does not match the session dim {}",
-                        base.len()
-                    ),
-                );
-            }
-            match binary::delta_decode(base, runs) {
-                Ok(g) => {
-                    reconstructed = g;
-                    &reconstructed
-                }
-                Err(err) => return error(Some(session), format!("bad delta frame: {err}")),
-            }
-        }
-    };
     match e.session.measure(step, loss, grads) {
         Err(msg) => error(Some(session), msg),
         Ok(outcome) => {
             e.last_active = Instant::now();
-            // Update the delta base only when this measurement actually
-            // advanced the session. An idempotent cached-verdict replay
-            // (step == session.step - 1 on arrival) may carry an
-            // arbitrary payload and must never become a base.
-            if e.session.step() == step + 1 {
-                e.prev = Some((step, grads.to_vec()));
-            }
-            let every = shared.cfg.snapshot_every;
-            if every > 0 && e.session.step() % every == 0 {
-                shared.write_snapshot(&e);
-            }
+            // Sealed before the reply is queued, so an acknowledged
+            // measurement survives SIGKILL.
+            shared.write_snapshot(&e);
             match outcome {
                 Outcome::Tuned { hyper, clamped } => ServerFrame::Tuned {
                     session: session.to_string(),
@@ -826,7 +723,6 @@ mod tests {
         std::env::set_var("YF_SERVE_MAX_SESSIONS", "3");
         std::env::set_var("YF_SERVE_PERMITS", "not-a-number");
         std::env::set_var("YF_SERVE_IDLE_SECS", "7");
-        std::env::set_var("YF_SERVE_SNAPSHOT_EVERY", "0");
         let cfg = ServeConfig::from_env();
         assert_eq!(cfg.max_sessions, 3);
         assert_eq!(
@@ -835,10 +731,8 @@ mod tests {
             "malformed falls back"
         );
         assert_eq!(cfg.idle_timeout, Duration::from_secs(7));
-        assert_eq!(cfg.snapshot_every, 0, "zero means snapshot-on-detach only");
         std::env::remove_var("YF_SERVE_MAX_SESSIONS");
         std::env::remove_var("YF_SERVE_PERMITS");
         std::env::remove_var("YF_SERVE_IDLE_SECS");
-        std::env::remove_var("YF_SERVE_SNAPSHOT_EVERY");
     }
 }

@@ -40,10 +40,6 @@ pub struct Session {
     /// without the session advancing — the key invariant that a retry
     /// can never double-advance a trajectory.
     last_outcome: Option<Outcome>,
-    /// The measure phase needs a params buffer only for its length (the
-    /// registry optimizers tune from gradient statistics alone), so
-    /// every session reuses one zeros vector.
-    zeros: Vec<f32>,
 }
 
 impl Session {
@@ -58,7 +54,6 @@ impl Session {
         let opt = build_optimizer(&spec.optimizer, spec.value)
             .ok_or_else(|| format!("unknown optimizer {:?}", spec.optimizer))?;
         let filter = QualityFilter::new(spec.filter);
-        let zeros = vec![0.0; spec.dim];
         Ok(Session {
             spec,
             opt,
@@ -66,7 +61,6 @@ impl Session {
             step: 0,
             last: None,
             last_outcome: None,
-            zeros,
         })
     }
 
@@ -121,7 +115,9 @@ impl Session {
                 reason: reason.to_string(),
             },
             Ok(()) => {
-                let tuned = self.opt.observe(&self.zeros, grads);
+                // Registry optimizers read `params` only for its length,
+                // so the gradient stands in for it: same bits, no copy.
+                let tuned = self.opt.observe(grads, grads);
                 let (hyper, clamped) = self.spec.authority.clamp(self.last, tuned);
                 self.last = Some(hyper);
                 Outcome::Tuned { hyper, clamped }

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 use yf_serve::{
-    Authority, Client, FilterSpec, MeasureReply, OpenSpec, Outcome, ServeConfig, Server,
-    ServerFrame, Session,
+    Authority, Client, ClientConfig, FilterSpec, MeasureReply, OpenSpec, Outcome, ServeConfig,
+    Server, ServerFrame, Session, WireDialect,
 };
 use yf_tensor::rng::Pcg32;
 
@@ -96,7 +96,10 @@ fn eight_concurrent_sessions_serve_bitwise_reference_streams() {
     // Eight clients stream interleaved frames into one server; every
     // session's served stream must match its in-process reference
     // bit-for-bit despite the shared compute permits and concurrent
-    // combine calls.
+    // combine calls. Odd clients speak the binary dialect and even ones
+    // JSON, whatever YF_SERVE_WIRE says, and each optimizer runs once
+    // per dialect: the dialect changes the bytes on the wire, never the
+    // trajectory.
     let dir = temp_dir("concurrent");
     let server = Server::start(ServeConfig {
         snapshot_dir: Some(dir.clone()),
@@ -108,11 +111,21 @@ fn eight_concurrent_sessions_serve_bitwise_reference_streams() {
     let handles: Vec<_> = (0..8)
         .map(|i| {
             std::thread::spawn(move || {
-                let open = spec(&format!("c{i}"), OPTIMIZERS[i % OPTIMIZERS.len()]);
+                let open = spec(&format!("c{i}"), OPTIMIZERS[i / 2 % OPTIMIZERS.len()]);
                 let frames = stream(100 + i as u64, 50);
                 let want = reference(&open, &frames);
-                let mut client = Client::connect(addr).unwrap();
+                let wire = if i % 2 == 1 {
+                    WireDialect::Binary
+                } else {
+                    WireDialect::Json
+                };
+                let cfg = ClientConfig {
+                    wire,
+                    ..ClientConfig::default()
+                };
+                let mut client = Client::connect_with(addr, &cfg).unwrap();
                 assert_eq!(client.open(open.clone()).unwrap(), 0);
+                assert_eq!(client.wire(), wire, "session c{i} negotiated its dialect");
                 for (step, (loss, grads)) in frames.iter().enumerate() {
                     let reply = client
                         .measure(&open.session, step as u64, *loss, grads)
@@ -424,11 +437,41 @@ fn malformed_frames_answer_with_an_error_and_the_connection_survives() {
             other => panic!("expected an error frame for {garbage:?}, got {other:?}"),
         }
     }
+    // Sizes are the peer's choice, so an open must not allocate by
+    // them: each of these is answered, one way or the other, without
+    // aborting the server or poisoning its session registry.
+    for (i, (dim, window)) in [(1 << 40, 20), (1 << 62, 20), (DIM, 1 << 40), (DIM, 1 << 61)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut open = spec(&format!("huge-{i}"), "yellowfin");
+        open.dim = dim;
+        open.filter.window = window;
+        let line = yf_serve::ClientFrame::Open {
+            spec: open,
+            wire: WireDialect::Json,
+        }
+        .to_line();
+        match roundtrip(&line) {
+            ServerFrame::Opened { .. } | ServerFrame::Error { .. } => {}
+            other => panic!("expected opened or error for {line:?}, got {other:?}"),
+        }
+    }
     // The connection is still serviceable after every rejected frame.
     match roundtrip("{\"type\":\"ping\",\"token\":41}") {
         ServerFrame::Pong { token } => assert_eq!(token, 41),
         other => panic!("expected pong, got {other:?}"),
     }
+    // And the server still hosts new sessions on new connections.
+    let open = spec("after-abuse", "yellowfin");
+    let frames = crate::stream(9, 1);
+    let want = reference(&open, &frames);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.open(open).unwrap(), 0);
+    let reply = client
+        .measure("after-abuse", 0, frames[0].0, &frames[0].1)
+        .unwrap();
+    reply_matches(&reply, &want[0], "measure after the oversized opens");
 }
 
 #[test]

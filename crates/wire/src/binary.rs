@@ -28,18 +28,14 @@
 //! that mixed-dialect reader; servers, clients, and the chaos proxy
 //! all share it so every layer frames binary traffic identically.
 //!
-//! Everything here returns typed [`BinError`]s — decoding attacker- or
-//! chaos-controlled bytes must never panic and never over-read (the
-//! payload length is capped at [`MAX_PAYLOAD`] before any allocation).
-//!
-//! The module also carries [`delta_encode`]/[`delta_decode`]: an XOR of
-//! consecutive gradients' f32 bit patterns with run-length-encoded zero
-//! runs. XOR deltas are bit-exact by construction (no rounding, NaN
-//! payloads and signed zeros included), so a reconstructed gradient is
-//! indistinguishable from a full one.
+//! Everything here returns typed errors ([`BinError`], [`ReadError`]) —
+//! decoding attacker- or chaos-controlled bytes must never panic and
+//! never over-read (the payload length is capped at [`MAX_PAYLOAD`]
+//! before any allocation, and a text line at [`MAX_LINE`] while it is
+//! read).
 
 use std::fmt;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 
 use crate::fsio::fnv1a;
 
@@ -61,6 +57,14 @@ pub const TRAILER_LEN: usize = 8;
 /// is rejected against this cap before any buffer is allocated, so a
 /// corrupt frame can neither over-read nor balloon memory.
 pub const MAX_PAYLOAD: usize = 1 << 26;
+
+/// Upper bound on a text line, newline included. It fits the JSON
+/// `measure` line of the largest gradient a binary frame can carry: an
+/// f32 is 4 payload bytes in binary but 9 in JSON (8 hex digits and a
+/// separator), and the 64 KiB of headroom covers the line's other
+/// fields. A peer that never sends `\n` is cut off here instead of
+/// growing the buffer without limit.
+pub const MAX_LINE: usize = MAX_PAYLOAD / 4 * 9 + (1 << 16);
 
 /// A typed binary-decode failure. Decoding never panics; every
 /// malformed input maps to one of these.
@@ -205,6 +209,9 @@ pub enum ReadError {
     /// The stream positioned us at a binary frame whose framing itself
     /// is invalid; the stream can no longer be re-synchronized.
     Frame(BinError),
+    /// A text line ran past [`MAX_LINE`] bytes without a newline; the
+    /// stream can no longer be re-synchronized.
+    LineTooLong,
 }
 
 impl fmt::Display for ReadError {
@@ -212,6 +219,9 @@ impl fmt::Display for ReadError {
         match self {
             ReadError::Io(e) => write!(f, "transport: {e}"),
             ReadError::Frame(e) => write!(f, "framing: {e}"),
+            ReadError::LineTooLong => {
+                write!(f, "framing: text line exceeds the {MAX_LINE} byte cap")
+            }
         }
     }
 }
@@ -226,7 +236,8 @@ impl std::error::Error for ReadError {}
 /// [`MAX_PAYLOAD`] *before* the payload is buffered) and returned raw;
 /// call [`decode`] to checksum-verify and extract the payload. An EOF
 /// in the middle of a binary frame is an `UnexpectedEof` I/O error,
-/// mirroring how a torn line read fails.
+/// mirroring how a torn line read fails. A text line stops buffering at
+/// [`MAX_LINE`] bytes and fails with [`ReadError::LineTooLong`].
 pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<Option<RawFrame>, ReadError> {
     let first = {
         let buf = reader.fill_buf().map_err(ReadError::Io)?;
@@ -237,7 +248,13 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<Option<RawFrame>, ReadEr
     };
     if first != MAGIC[0] {
         let mut line = String::new();
-        reader.read_line(&mut line).map_err(ReadError::Io)?;
+        reader
+            .take(MAX_LINE as u64)
+            .read_line(&mut line)
+            .map_err(ReadError::Io)?;
+        if line.len() == MAX_LINE && !line.ends_with('\n') {
+            return Err(ReadError::LineTooLong);
+        }
         while line.ends_with(['\n', '\r']) {
             line.pop();
         }
@@ -325,13 +342,6 @@ impl<'a> Cursor<'a> {
             .map_err(|e| BinError::Malformed(format!("str16 is not UTF-8: {e}")))
     }
 
-    /// Everything left, consuming it.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let out = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        out
-    }
-
     /// Succeeds only if the whole payload was consumed — trailing
     /// bytes mean the peer and we disagree about the layout.
     pub fn finish(self) -> Result<(), BinError> {
@@ -375,11 +385,6 @@ impl Builder {
         self
     }
 
-    pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(v);
-        self
-    }
-
     /// A contiguous run of f32s as LE bit-pattern words — the gradient
     /// payload hot path: one resize, then a flat vectorizable copy
     /// instead of a bounds-checked `u32` append per coordinate.
@@ -411,110 +416,6 @@ impl Builder {
     pub fn into_payload(self) -> Vec<u8> {
         self.0
     }
-}
-
-/// Minimum zero-run length worth breaking a literal run for. A run
-/// header costs 8 bytes (two u32 counts), the same as two literal
-/// words, so runs of one or two zero words are cheaper left inline.
-const ZERO_RUN_BREAK: usize = 3;
-
-/// Delta-encodes `cur` against `prev` (equal lengths required): the
-/// XOR of their f32 bit patterns, written as a sequence of runs
-///
-/// ```text
-/// [u32 zero_words][u32 literal_words][literal_words x u32 xor_bits]
-/// ```
-///
-/// whose word counts sum to exactly the gradient dimension. Unchanged
-/// entries XOR to zero, so a slowly-varying or sparse gradient
-/// collapses to a few literal islands. The encoding is bit-exact:
-/// `delta_decode(prev, delta_encode(prev, cur)) == cur` at the bit
-/// level for every f32, NaNs and signed zeros included.
-///
-/// # Panics
-///
-/// If `prev.len() != cur.len()`; the caller (the serve client) checks
-/// dimensions before choosing the delta path.
-pub fn delta_encode(prev: &[f32], cur: &[f32]) -> Vec<u8> {
-    assert_eq!(
-        prev.len(),
-        cur.len(),
-        "delta_encode requires equal dimensions"
-    );
-    let n = prev.len();
-    let xor: Vec<u32> = prev
-        .iter()
-        .zip(cur.iter())
-        .map(|(p, c)| p.to_bits() ^ c.to_bits())
-        .collect();
-    let mut b = Builder::new();
-    let mut i = 0;
-    while i < n {
-        let z0 = i;
-        while i < n && xor[i] == 0 {
-            i += 1;
-        }
-        let zeros = i - z0;
-        // Extend the literal run until a zero run long enough to be
-        // worth its own header begins (or the payload ends; trailing
-        // short zero runs become a final zeros-only run).
-        let l0 = i;
-        while i < n {
-            if xor[i] == 0 {
-                let mut k = i;
-                while k < n && xor[k] == 0 {
-                    k += 1;
-                }
-                if k - i >= ZERO_RUN_BREAK || k == n {
-                    break;
-                }
-                i = k;
-            } else {
-                i += 1;
-            }
-        }
-        b.u32(zeros as u32).u32((i - l0) as u32);
-        for &w in &xor[l0..i] {
-            b.u32(w);
-        }
-    }
-    b.into_payload()
-}
-
-/// Reconstructs a gradient from `prev` and a [`delta_encode`]d run
-/// payload. The runs must cover exactly `prev.len()` words; anything
-/// else — overflowing runs, empty runs, truncated literals, trailing
-/// bytes — is a typed [`BinError`].
-pub fn delta_decode(prev: &[f32], runs: &[u8]) -> Result<Vec<f32>, BinError> {
-    let n = prev.len();
-    let mut out = Vec::with_capacity(n);
-    let mut c = Cursor::new(runs);
-    while out.len() < n {
-        let zeros = c.u32()? as usize;
-        let lits = c.u32()? as usize;
-        let span = zeros
-            .checked_add(lits)
-            .ok_or_else(|| BinError::Malformed("delta run span overflows".to_string()))?;
-        if span == 0 {
-            return Err(BinError::Malformed("empty delta run".to_string()));
-        }
-        if span > n - out.len() {
-            return Err(BinError::Malformed(format!(
-                "delta runs cover {} words past the {n}-word gradient",
-                span - (n - out.len())
-            )));
-        }
-        for _ in 0..zeros {
-            out.push(prev[out.len()]);
-        }
-        for _ in 0..lits {
-            let w = c.u32()?;
-            let idx = out.len();
-            out.push(f32::from_bits(prev[idx].to_bits() ^ w));
-        }
-    }
-    c.finish()?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -628,14 +529,31 @@ mod tests {
     }
 
     #[test]
+    fn read_frame_caps_a_line_that_never_ends() {
+        // A peer streaming text with no newline: the reader must give up
+        // with a typed error once MAX_LINE bytes are buffered.
+        struct Endless(usize);
+        impl Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                buf.fill(b'x');
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+        }
+        let chunk = 1 << 16;
+        let mut r = io::BufReader::with_capacity(chunk, Endless(0));
+        assert!(matches!(read_frame(&mut r), Err(ReadError::LineTooLong)));
+        let pulled = r.get_ref().0;
+        assert!(
+            pulled <= MAX_LINE + chunk,
+            "read {pulled} bytes for a {MAX_LINE}-byte cap"
+        );
+    }
+
+    #[test]
     fn cursor_and_builder_are_inverse() {
         let mut b = Builder::new();
-        b.u8(5)
-            .u16(513)
-            .u32(70_000)
-            .u64(1 << 40)
-            .str16("session-a")
-            .bytes(&[9, 9]);
+        b.u8(5).u16(513).u32(70_000).u64(1 << 40).str16("session-a");
         let payload = b.into_payload();
         let mut c = Cursor::new(&payload);
         assert_eq!(c.u8().unwrap(), 5);
@@ -643,7 +561,6 @@ mod tests {
         assert_eq!(c.u32().unwrap(), 70_000);
         assert_eq!(c.u64().unwrap(), 1 << 40);
         assert_eq!(c.str16().unwrap(), "session-a");
-        assert_eq!(c.rest(), &[9, 9]);
         c.finish().unwrap();
     }
 
@@ -654,89 +571,5 @@ mod tests {
         let mut c = Cursor::new(&[1, 2, 3]);
         c.u8().unwrap();
         assert!(matches!(c.finish(), Err(BinError::Malformed(_))));
-    }
-
-    #[test]
-    fn delta_codec_round_trips_bit_exactly() {
-        let prev: Vec<f32> = (0..257).map(|i| (i as f32) * 0.25 - 17.0).collect();
-        let mut cur = prev.clone();
-        // A few literal islands, one NaN, a signed zero, long zero runs.
-        cur[0] = f32::NAN;
-        cur[3] = -0.0;
-        cur[100] += 1.5;
-        cur[101] -= 2.5;
-        cur[256] = f32::INFINITY;
-        let runs = delta_encode(&prev, &cur);
-        let back = delta_decode(&prev, &runs).unwrap();
-        assert_eq!(back.len(), cur.len());
-        for (a, b) in back.iter().zip(cur.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Sparse change => far smaller than the 4*257-byte full payload.
-        assert!(runs.len() < cur.len() * 4 / 4, "runs {} bytes", runs.len());
-    }
-
-    #[test]
-    fn identical_gradients_collapse_to_one_zero_run() {
-        let g: Vec<f32> = (0..4096).map(|i| i as f32).collect();
-        let runs = delta_encode(&g, &g);
-        assert_eq!(runs.len(), 8);
-        let back = delta_decode(&g, &runs).unwrap();
-        assert_eq!(back, g);
-    }
-
-    #[test]
-    fn short_zero_runs_stay_inline_in_the_literal_run() {
-        let prev = [1.0f32; 8];
-        let mut cur = prev;
-        cur[0] = 2.0;
-        cur[2] = 3.0; // one-word zero gap at index 1: cheaper inline
-        let runs = delta_encode(&prev, &cur);
-        // One run: 0 zeros, 3 literals (indices 0..3), then trailing zeros run.
-        let mut c = Cursor::new(&runs);
-        assert_eq!(c.u32().unwrap(), 0);
-        assert_eq!(c.u32().unwrap(), 3);
-        let back = delta_decode(&prev, &runs).unwrap();
-        for (a, b) in back.iter().zip(cur.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn malformed_delta_runs_decode_to_typed_errors() {
-        let prev = [0.5f32; 16];
-        // Overflowing span.
-        let mut b = Builder::new();
-        b.u32(20).u32(0);
-        assert!(matches!(
-            delta_decode(&prev, &b.into_payload()),
-            Err(BinError::Malformed(_))
-        ));
-        // Empty run.
-        let mut b = Builder::new();
-        b.u32(0).u32(0);
-        assert!(matches!(
-            delta_decode(&prev, &b.into_payload()),
-            Err(BinError::Malformed(_))
-        ));
-        // Truncated literals.
-        let mut b = Builder::new();
-        b.u32(0).u32(4).u32(7);
-        assert!(matches!(
-            delta_decode(&prev, &b.into_payload()),
-            Err(BinError::Truncated { .. })
-        ));
-        // Trailing bytes after full coverage.
-        let mut b = Builder::new();
-        b.u32(16).u32(0).u8(1);
-        assert!(matches!(
-            delta_decode(&prev, &b.into_payload()),
-            Err(BinError::Malformed(_))
-        ));
-        // Truncated run header.
-        assert!(matches!(
-            delta_decode(&prev, &[1, 0]),
-            Err(BinError::Truncated { .. })
-        ));
     }
 }

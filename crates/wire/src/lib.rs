@@ -20,9 +20,9 @@
 //!   `EPIPE` error to shed, never a process death.
 //! - [`binary`]: the data-path fast lane — length-prefixed binary
 //!   frames (magic + version + tag + LE payload + FNV-1a trailer) that
-//!   coexist with JSON lines on one stream, plus the XOR/RLE gradient
-//!   delta codec. Control frames stay line JSON; bulk f32 payloads
-//!   travel as raw bit patterns.
+//!   coexist with JSON lines on one stream, and the size-capped reader
+//!   for that mixed stream. Control frames stay line JSON; bulk f32
+//!   payloads travel as raw bit patterns.
 
 pub mod binary;
 pub mod fsio;

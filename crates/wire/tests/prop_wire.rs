@@ -2,8 +2,8 @@
 //! (including NaN payloads, ±inf, signed zeros, subnormals) must
 //! round-trip bit-exactly through the hex codecs and the JSON layer,
 //! and torn frames/files must be rejected, never silently accepted.
-//! The binary dialect gets the same treatment: framed payloads and
-//! delta runs round-trip bit-exactly, and every truncation, length
+//! The binary dialect gets the same treatment: framed payloads
+//! round-trip bit-exactly, and every truncation, length
 //! mutation, or checksum flip yields a typed [`binary::BinError`] —
 //! the decoders never panic and never read past the frame.
 
@@ -254,55 +254,5 @@ proptest! {
             binary::decode(&header),
             Err(binary::BinError::Oversize(_)) | Err(binary::BinError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn delta_runs_round_trip_any_bit_patterns(
-        prev_bits in prop::collection::vec(any::<u32>(), 1..64),
-        flips in prop::collection::vec((any::<u64>(), any::<u32>()), 0..16),
-    ) {
-        // XOR-delta encoding must reconstruct any current gradient from
-        // any previous one bit-exactly, whatever the patterns (NaNs,
-        // infinities, signed zeros included).
-        let prev: Vec<f32> = prev_bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let mut cur = prev.clone();
-        for &(pos, bits) in &flips {
-            let i = (pos as usize) % cur.len();
-            cur[i] = f32::from_bits(bits);
-        }
-        let runs = binary::delta_encode(&prev, &cur);
-        let back = binary::delta_decode(&prev, &runs).unwrap();
-        prop_assert_eq!(back.len(), cur.len());
-        for (got, want) in back.iter().zip(cur.iter()) {
-            prop_assert_eq!(got.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn malformed_delta_runs_error_typed_but_never_panic(
-        prev_bits in prop::collection::vec(any::<u32>(), 1..32),
-        runs in prop::collection::vec(any::<u8>(), 0..96),
-        pos_seed in any::<u64>(),
-        byte in any::<u8>(),
-    ) {
-        // Arbitrary bytes as a run list: decode must either produce a
-        // dim-length vector or a typed error — no panic, no over-read.
-        let prev: Vec<f32> = prev_bits.iter().map(|&b| f32::from_bits(b)).collect();
-        if let Ok(back) = binary::delta_decode(&prev, &runs) {
-            prop_assert_eq!(back.len(), prev.len());
-        }
-
-        // And a mutated *valid* run list: flip one byte of a genuine
-        // encoding and demand the same contract.
-        let mut cur = prev.clone();
-        cur[0] = f32::from_bits(prev_bits[0] ^ 0xdead_beef);
-        let mut encoded = binary::delta_encode(&prev, &cur);
-        if !encoded.is_empty() {
-            let pos = (pos_seed as usize) % encoded.len();
-            encoded[pos] = byte;
-        }
-        if let Ok(back) = binary::delta_decode(&prev, &encoded) {
-            prop_assert_eq!(back.len(), prev.len());
-        }
     }
 }
