@@ -1,23 +1,17 @@
-//! The binary wire fast path, end to end: negotiation, bit-exact
-//! parity with the JSON dialect, delta encoding on slowly-varying
-//! gradients, measurement pipelining, and typed recovery from
-//! un-reconstructable delta frames.
+//! The binary wire dialect, end to end: negotiation and bit-exact
+//! parity with the JSON dialect.
 //!
-//! The acceptance pin for the fast path is the first test: a session
-//! driven over the binary dialect (deltas and all) serves a Hyper
-//! stream bitwise identical to the same stream served over JSON —
-//! the dialect changes the bytes on the wire, never the trajectory.
+//! A session driven over the binary dialect serves a Hyper stream
+//! bitwise identical to the same stream served over JSON — the dialect
+//! changes the bytes on the wire, never the trajectory. Both dialects
+//! are requested explicitly, so the pin holds whatever `YF_SERVE_WIRE`
+//! says.
 
-use std::io::{BufReader, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-use yf_serve::proto;
 use yf_serve::{
     Authority, Client, ClientConfig, FilterSpec, MeasureReply, OpenSpec, Outcome, ServeConfig,
-    Server, ServerFrame, Session, WireDialect,
+    Server, Session, WireDialect,
 };
 use yf_tensor::rng::Pcg32;
-use yf_wire::binary::{self, RawFrame};
 
 const DIM: usize = 16;
 
@@ -32,10 +26,9 @@ fn spec(name: &str, optimizer: &str) -> OpenSpec {
     }
 }
 
-fn cfg(wire: WireDialect, window: usize) -> ClientConfig {
+fn cfg(wire: WireDialect) -> ClientConfig {
     ClientConfig {
         wire,
-        window,
         ..ClientConfig::default()
     }
 }
@@ -50,23 +43,6 @@ fn stream(seed: u64, frames: usize) -> Vec<(f32, Vec<f32>)> {
             let loss = rng.uniform();
             let grads = (0..DIM).map(|_| scale * (rng.uniform() - 0.5)).collect();
             (loss, grads)
-        })
-        .collect()
-}
-
-/// A slowly-varying stream: each step perturbs a couple of coordinates
-/// of the previous gradient, so most XORed bit patterns are zero and
-/// the delta encoder wins.
-fn sparse_stream(seed: u64, frames: usize) -> Vec<(f32, Vec<f32>)> {
-    let mut rng = Pcg32::seed_stream(seed, 0xde);
-    let mut grads: Vec<f32> = (0..DIM).map(|_| rng.uniform() - 0.5).collect();
-    (0..frames)
-        .map(|_| {
-            for _ in 0..2 {
-                let i = (rng.uniform() * DIM as f32) as usize % DIM;
-                grads[i] += 0.01 * (rng.uniform() - 0.5);
-            }
-            (rng.uniform(), grads.clone())
         })
         .collect()
 }
@@ -126,15 +102,15 @@ fn binary_dialect_serves_a_bitwise_identical_hyper_stream() {
         let bin_spec = spec(&format!("parity-bin-{optimizer}"), optimizer);
         let want = reference(&json_spec, &frames);
 
-        let mut json_client = Client::connect_with(addr, &cfg(WireDialect::Json, 1)).unwrap();
-        let mut bin_client = Client::connect_with(addr, &cfg(WireDialect::Binary, 1)).unwrap();
+        let mut json_client = Client::connect_with(addr, &cfg(WireDialect::Json)).unwrap();
+        let mut bin_client = Client::connect_with(addr, &cfg(WireDialect::Binary)).unwrap();
         assert_eq!(json_client.open(json_spec.clone()).unwrap(), 0);
         assert_eq!(bin_client.open(bin_spec.clone()).unwrap(), 0);
         assert_eq!(json_client.wire(), WireDialect::Json);
         assert_eq!(
             bin_client.wire(),
             WireDialect::Binary,
-            "server must accept the requested fast path"
+            "server must accept the requested binary dialect"
         );
 
         for (i, (loss, grads)) in frames.iter().enumerate() {
@@ -149,179 +125,5 @@ fn binary_dialect_serves_a_bitwise_identical_hyper_stream() {
             reply_matches(&via_json, &want[i], &format!("{context} (json)"));
             reply_matches(&via_bin, &want[i], &format!("{context} (binary)"));
         }
-    }
-}
-
-#[test]
-fn slowly_varying_gradients_ride_the_delta_path_bit_exactly() {
-    let server = Server::start(ServeConfig {
-        snapshot_dir: None,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let open = spec("delta-parity", "yellowfin");
-    let frames = sparse_stream(7, 50);
-    let want = reference(&open, &frames);
-    let mut client =
-        Client::connect_with(server.local_addr(), &cfg(WireDialect::Binary, 1)).unwrap();
-    client.open(open.clone()).unwrap();
-    for (i, (loss, grads)) in frames.iter().enumerate() {
-        let reply = client
-            .measure(&open.session, i as u64, *loss, grads)
-            .unwrap();
-        reply_matches(&reply, &want[i], &format!("step {i}"));
-    }
-    assert!(
-        client.deltas_sent() > 30,
-        "a slowly-varying stream should mostly ship deltas, sent {}",
-        client.deltas_sent()
-    );
-}
-
-#[test]
-fn windowed_pipelining_matches_the_lock_step_stream() {
-    // A client running 8 submissions ahead must collect exactly the
-    // verdicts its lock-step twin sees, in step order.
-    let server = Server::start(ServeConfig {
-        snapshot_dir: None,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let addr = server.local_addr();
-    let frames = stream(23, 60);
-    let lock_spec = spec("pipeline-lock", "yellowfin");
-    let pipe_spec = spec("pipeline-wide", "yellowfin");
-    let want = reference(&lock_spec, &frames);
-
-    let mut lock = Client::connect_with(addr, &cfg(WireDialect::Binary, 1)).unwrap();
-    let mut pipe = Client::connect_with(addr, &cfg(WireDialect::Binary, 8)).unwrap();
-    lock.open(lock_spec.clone()).unwrap();
-    pipe.open(pipe_spec.clone()).unwrap();
-
-    let mut piped: Vec<(u64, MeasureReply)> = Vec::new();
-    for (i, (loss, grads)) in frames.iter().enumerate() {
-        let step = i as u64;
-        let reply = lock
-            .measure(&lock_spec.session, step, *loss, grads)
-            .unwrap();
-        reply_matches(&reply, &want[i], &format!("lock-step {i}"));
-        piped.extend(
-            pipe.submit_measure(&pipe_spec.session, step, *loss, grads)
-                .unwrap(),
-        );
-        assert!(pipe.in_flight() <= 8, "window must bound send-ahead");
-    }
-    piped.extend(pipe.drain_verdicts().unwrap());
-    assert_eq!(pipe.in_flight(), 0);
-
-    assert_eq!(piped.len(), frames.len(), "every submission answered");
-    for (i, (step, reply)) in piped.iter().enumerate() {
-        assert_eq!(*step, i as u64, "verdicts arrive in step order");
-        reply_matches(reply, &want[i], &format!("piped step {i}"));
-    }
-}
-
-#[test]
-fn bogus_delta_frames_get_typed_errors_and_full_frames_recover() {
-    // Raw-socket poke at the server's delta reconstruction: a delta
-    // frame with no base on the server must come back as a survivable
-    // error frame, after which a full measure frame heals the stream.
-    let server = Server::start(ServeConfig {
-        snapshot_dir: None,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let open = spec("delta-abuse", "yellowfin");
-    let want = reference(&open, &stream(5, 2));
-
-    let stream_tcp = TcpStream::connect(server.local_addr()).unwrap();
-    stream_tcp
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream_tcp.try_clone().unwrap());
-    let mut writer = stream_tcp;
-    let mut recv = || -> ServerFrame {
-        match binary::read_frame(&mut reader).unwrap().unwrap() {
-            RawFrame::Line(line) => ServerFrame::from_line(&line).unwrap(),
-            RawFrame::Binary(raw) => {
-                let (tag, payload) = binary::decode(&raw).unwrap();
-                ServerFrame::from_binary(tag, payload).unwrap()
-            }
-        }
-    };
-
-    writeln!(
-        writer,
-        "{}",
-        yf_serve::ClientFrame::Open {
-            spec: open.clone(),
-            wire: WireDialect::Binary,
-        }
-        .to_line()
-    )
-    .unwrap();
-    assert!(matches!(
-        recv(),
-        ServerFrame::Opened {
-            step: 0,
-            wire: WireDialect::Binary,
-            ..
-        }
-    ));
-
-    // Step 0 as a delta: the server has no base yet.
-    let zeros = vec![0.0f32; DIM];
-    let runs = binary::delta_encode(&zeros, &zeros);
-    writer
-        .write_all(&proto::encode_grad_delta(&open.session, 0, 0.5, DIM, &runs))
-        .unwrap();
-    match recv() {
-        ServerFrame::Error { message, .. } => {
-            assert!(
-                message.contains("full measure frame"),
-                "error should steer the client to the fallback, got {message:?}"
-            );
-        }
-        other => panic!("expected a survivable error frame, got {other:?}"),
-    }
-
-    // The connection survives; full frames serve the reference stream.
-    let frames = stream(5, 2);
-    for (i, (loss, grads)) in frames.iter().enumerate() {
-        writer
-            .write_all(&proto::encode_measure(
-                &open.session,
-                i as u64,
-                *loss,
-                grads,
-            ))
-            .unwrap();
-        match recv() {
-            ServerFrame::Tuned { hyper, clamped, .. } => reply_matches(
-                &MeasureReply::Tuned { hyper, clamped },
-                &want[i],
-                &format!("recovery step {i}"),
-            ),
-            ServerFrame::Rejected { reason, .. } => reply_matches(
-                &MeasureReply::Rejected { reason },
-                &want[i],
-                &format!("recovery step {i}"),
-            ),
-            other => panic!("recovery step {i}: unexpected {other:?}"),
-        }
-    }
-
-    // A malformed delta (wrong base step) after a good frame is also
-    // survivable: the base is at step 1, so a delta claiming step 5
-    // cannot reconstruct.
-    let runs = binary::delta_encode(&frames[1].1, &frames[1].1);
-    writer
-        .write_all(&proto::encode_grad_delta(&open.session, 5, 0.5, DIM, &runs))
-        .unwrap();
-    match recv() {
-        ServerFrame::Error { message, .. } => {
-            assert!(message.contains("full measure frame"), "got {message:?}");
-        }
-        other => panic!("expected error for wrong-base delta, got {other:?}"),
     }
 }
