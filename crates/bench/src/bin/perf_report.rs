@@ -32,7 +32,9 @@
 //! (line JSON and the negotiated binary fast path, each forced
 //! explicitly so the entries are stable under `YF_SERVE_WIRE`), at 1
 //! and at 32 concurrent sessions. The negotiated dialect is recorded in
-//! the header (`serve_wire`).
+//! the header (`serve_wire`). The `hex_f32_*` entries time the float
+//! text codec those JSON frames are made of, against the seed
+//! `format!`/`from_str_radix` codec, and gate like every other kernel.
 //!
 //! The serve entries' *speedup* column is contextual (each seed is
 //! re-measured in the same run: the in-process pipeline for the JSON
@@ -60,6 +62,7 @@ use yf_serve::{
     WireDialect,
 };
 use yf_tensor::gemm::reference as gemm_ref;
+use yf_tensor::hex;
 use yf_tensor::parallel::{self, Par};
 use yf_tensor::rng::Pcg32;
 use yf_tensor::Tensor;
@@ -135,6 +138,31 @@ impl SerialObserve {
     }
 }
 
+/// The hand-rolled row encoder every crate carried before
+/// [`yf_tensor::hex`], retained as the seed side of `hex_f32_row_4096`:
+/// one `format!` and one heap `String` per value, then a `join`.
+fn seed_f32_row(values: &[f32]) -> String {
+    values
+        .iter()
+        .map(|v| format!("{:08x}", v.to_bits()))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// The matching seed decoder (`hex_f32_unrow_4096`): `split` on commas,
+/// then a length check and one `from_str_radix` per value.
+fn seed_f32_unrow(text: &str) -> Option<Vec<f32>> {
+    if text.is_empty() {
+        return Some(Vec::new());
+    }
+    text.split(',')
+        .map(|s| match s.len() {
+            8 => u32::from_str_radix(s, 16).ok().map(f32::from_bits),
+            _ => None,
+        })
+        .collect()
+}
+
 /// The PR 3-era apply half of a step, retained as the seed side of the
 /// `yf_full_step_1M_*` entries: after a whole-vector `observe`, fan
 /// `hyper` out over `shards` slices in a second, separate pool dispatch.
@@ -186,6 +214,28 @@ fn median_ns(mut f: impl FnMut()) -> u128 {
         .collect();
     times.sort_unstable();
     times[times.len() / 2]
+}
+
+/// Median wall-clock ns of `new` and of `seed`, sampled alternately so
+/// both sides see the same machine: a slow spell of a shared host that
+/// outlasts one side's whole sampling window cannot land on that side
+/// only.
+fn paired_median_ns(mut new: impl FnMut(), mut seed: impl FnMut()) -> (u128, u128) {
+    new();
+    seed();
+    let n = samples() | 1;
+    let mut times = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let t0 = Instant::now();
+        new();
+        times.0.push(t0.elapsed().as_nanos());
+        let t0 = Instant::now();
+        seed();
+        times.1.push(t0.elapsed().as_nanos());
+    }
+    times.0.sort_unstable();
+    times.1.sort_unstable();
+    (times.0[n / 2], times.1[n / 2])
 }
 
 struct Entry {
@@ -726,6 +776,50 @@ fn main() {
             });
             push(name, new, seed);
         }
+    }
+
+    // --- The float text codec under every JSON measure frame, session
+    // snapshot and checkpoint: one dim-4096 gradient row through the
+    // table-driven `yf_tensor::hex` vs the seed codec, in ns per row. Each
+    // sample covers `ROWS` rows, so a brief stall on a shared host is
+    // averaged out rather than taken as the row's cost. A generator of
+    // its own keeps the serve entries' gradients what they were. ---
+    {
+        const ROWS: u128 = 64;
+        let mut rng = Pcg32::seed(4096);
+        let values: Vec<f32> = (0..4096).map(|_| rng.normal() * 0.01).collect();
+        let row = hex::f32_row(&values);
+        assert_eq!(
+            row,
+            seed_f32_row(&values),
+            "the codec must write the seed's bytes"
+        );
+        let (new, seed) = paired_median_ns(
+            || {
+                for _ in 0..ROWS {
+                    std::hint::black_box(hex::f32_row(&values));
+                }
+            },
+            || {
+                for _ in 0..ROWS {
+                    std::hint::black_box(seed_f32_row(&values));
+                }
+            },
+        );
+        push("hex_f32_row_4096", new / ROWS, seed / ROWS);
+        let (new, seed) = paired_median_ns(
+            || {
+                for _ in 0..ROWS {
+                    std::hint::black_box(hex::f32_unrow(&row).expect("valid row"));
+                }
+            },
+            || {
+                for _ in 0..ROWS {
+                    std::hint::black_box(seed_f32_unrow(&row).expect("valid row"));
+                }
+            },
+        );
+        push("hex_f32_unrow_4096", new / ROWS, seed / ROWS);
     }
 
     // --- Tuning-as-a-service throughput: ns per measurement served

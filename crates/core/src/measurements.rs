@@ -323,7 +323,7 @@ impl OutlierGate {
         w.f64_field("tolerance", self.tolerance);
         w.field("window_width", self.range.width);
         w.f64_field("beta", self.range.log_h_max.beta);
-        w.f64_slice("window", self.range.window.iter().copied());
+        w.f64_slice("window", &Vec::from(self.range.window.clone()));
         w.f64_field("log_h_max.biased", self.range.log_h_max.biased);
         w.f64_field("log_h_max.correction", self.range.log_h_max.correction);
         w.field("log_h_max.steps", self.range.log_h_max.steps);

@@ -6,7 +6,9 @@
 //! §3.3 "large-scale deployment in industry" discussion alludes to).
 //! This module serializes a [`YellowFin`] tuner to a small, versioned,
 //! human-readable text block and restores it bit-exactly — no external
-//! serialization crates needed.
+//! serialization crates needed. Floats are hex bit patterns written by
+//! [`yf_tensor::hex`], appended straight into the block; a float with a
+//! sign or the wrong number of digits fails the restore.
 //!
 //! # Example
 //!
@@ -26,7 +28,8 @@
 //! ```
 
 use crate::tuner::YellowFin;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use yf_tensor::hex;
 
 /// Error from [`YellowFin::restore_state`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,28 +68,30 @@ impl Writer {
     }
 
     pub(crate) fn field(&mut self, key: &str, value: impl fmt::Display) {
+        let _ = writeln!(self.key(key), "{value}");
+    }
+
+    /// Starts the line of `key`, returning the output for its value.
+    fn key(&mut self, key: &str) -> &mut String {
         self.out.push_str(key);
         self.out.push(' ');
-        self.out.push_str(&value.to_string());
-        self.out.push('\n');
+        &mut self.out
     }
 
     /// f64 with full round-trip precision (hex bits).
     pub(crate) fn f64_field(&mut self, key: &str, value: f64) {
-        self.field(key, format!("{:016x}", value.to_bits()));
+        hex::push_f64(self.key(key), value);
+        self.out.push('\n');
     }
 
-    pub(crate) fn f64_slice(&mut self, key: &str, values: impl Iterator<Item = f64>) {
-        let body: Vec<String> = values.map(|v| format!("{:016x}", v.to_bits())).collect();
-        self.field(key, body.join(","));
+    pub(crate) fn f64_slice(&mut self, key: &str, values: &[f64]) {
+        hex::push_f64_row(self.key(key), values);
+        self.out.push('\n');
     }
 
     pub(crate) fn f32_slice(&mut self, key: &str, values: &[f32]) {
-        let body: Vec<String> = values
-            .iter()
-            .map(|v| format!("{:08x}", v.to_bits()))
-            .collect();
-        self.field(key, body.join(","));
+        hex::push_f32_row(self.key(key), values);
+        self.out.push('\n');
     }
 
     pub(crate) fn finish(self) -> String {
@@ -134,37 +139,18 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn f64(&self, key: &str) -> Result<f64, RestoreStateError> {
-        let bits = u64::from_str_radix(self.raw(key)?, 16)
-            .map_err(|_| RestoreStateError::new(format!("bad f64 bits in {key}")))?;
-        Ok(f64::from_bits(bits))
+        hex::f64_unhex(self.raw(key)?)
+            .map_err(|_| RestoreStateError::new(format!("bad f64 bits in {key}")))
     }
 
     pub(crate) fn f64_vec(&self, key: &str) -> Result<Vec<f64>, RestoreStateError> {
-        let raw = self.raw(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|part| {
-                u64::from_str_radix(part, 16)
-                    .map(f64::from_bits)
-                    .map_err(|_| RestoreStateError::new(format!("bad f64 list in {key}")))
-            })
-            .collect()
+        hex::f64_unrow(self.raw(key)?)
+            .map_err(|_| RestoreStateError::new(format!("bad f64 list in {key}")))
     }
 
     pub(crate) fn f32_vec(&self, key: &str) -> Result<Vec<f32>, RestoreStateError> {
-        let raw = self.raw(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|part| {
-                u32::from_str_radix(part, 16)
-                    .map(f32::from_bits)
-                    .map_err(|_| RestoreStateError::new(format!("bad f32 list in {key}")))
-            })
-            .collect()
+        hex::f32_unrow(self.raw(key)?)
+            .map_err(|_| RestoreStateError::new(format!("bad f32 list in {key}")))
     }
 }
 
@@ -197,7 +183,7 @@ impl YellowFin {
         w.f64_field("cfg.lr_factor", self.cfg.lr_factor);
         match self.cfg.clip {
             ClipMode::None => w.field("cfg.clip", "none"),
-            ClipMode::Manual(t) => w.field("cfg.clip", format!("manual:{:08x}", t.to_bits())),
+            ClipMode::Manual(t) => w.field("cfg.clip", format!("manual:{}", hex::f32_hex(t))),
             ClipMode::Adaptive => w.field("cfg.clip", "adaptive"),
         }
         w.field("cfg.slow_start", self.cfg.slow_start);
@@ -206,7 +192,10 @@ impl YellowFin {
             None => w.field("cfg.momentum_override", "none"),
         }
         // Measurement state.
-        w.f64_slice("curvature.window", self.curvature.window.iter().copied());
+        w.f64_slice(
+            "curvature.window",
+            &Vec::from(self.curvature.window.clone()),
+        );
         write_ema(&mut w, "curvature.log_h_max", &self.curvature.log_h_max);
         write_ema(&mut w, "curvature.log_h_min", &self.curvature.log_h_min);
         write_vec_ema(&mut w, "variance.first", &self.variance.first);
@@ -242,11 +231,11 @@ impl YellowFin {
             "none" => ClipMode::None,
             "adaptive" => ClipMode::Adaptive,
             other => {
-                let bits = other
+                let t = other
                     .strip_prefix("manual:")
-                    .and_then(|b| u32::from_str_radix(b, 16).ok())
+                    .and_then(|b| hex::f32_unhex(b).ok())
                     .ok_or_else(|| RestoreStateError::new("bad cfg.clip"))?;
-                ClipMode::Manual(f32::from_bits(bits))
+                ClipMode::Manual(t)
             }
         };
         let momentum_override = match r.raw("cfg.momentum_override")? {
@@ -312,7 +301,7 @@ fn read_ema(r: &Reader<'_>, key: &str, beta: f64) -> Result<crate::ema::Ema, Res
 }
 
 fn write_vec_ema(w: &mut Writer, key: &str, ema: &crate::ema::VecEma) {
-    w.f64_slice(&format!("{key}.biased"), ema.biased.iter().copied());
+    w.f64_slice(&format!("{key}.biased"), &ema.biased);
     w.f64_field(&format!("{key}.correction"), ema.correction);
     w.field(&format!("{key}.steps"), ema.steps);
 }
@@ -387,6 +376,31 @@ mod tests {
         let saved = opt.save_state().replace("version 1", "version 999");
         let err = YellowFin::restore_state(&saved).unwrap_err();
         assert!(err.to_string().contains("version"));
+        // Floats are exactly 8 or 16 hex digits: no sign, no short form.
+        let good = YellowFin::default().save_state();
+        let with = |key: &str, value: &str| -> String {
+            good.lines()
+                .map(|line| match line.split_once(' ') {
+                    Some((k, _)) if k == key => format!("{key} {value}\n"),
+                    _ => format!("{line}\n"),
+                })
+                .collect()
+        };
+        for (key, bad) in [
+            ("cfg.beta", "3dc"),
+            ("cfg.beta", "+fefff7ced91687"),
+            ("cfg.clip", "manual:3dc"),
+            ("cfg.clip", "manual:+3dccccc"),
+            ("velocity", "3dc,+1"),
+            ("velocity", "3dcccccd,+3dccccc"),
+        ] {
+            assert!(
+                YellowFin::restore_state(&with(key, bad)).is_err(),
+                "{key} {bad}"
+            );
+        }
+        let upper = YellowFin::restore_state(&with("cfg.clip", "manual:3DCCCCCD")).unwrap();
+        assert_eq!(upper.cfg.clip, ClipMode::Manual(0.1));
     }
 
     #[test]

@@ -1,17 +1,13 @@
 //! Bit-exact serialization of training checkpoints and run results.
 //!
-//! Floats are written as raw bit patterns via [`yf_wire::hex`] (the same
-//! discipline as the optimizer state checkpoints) so a result computed
+//! Floats are written as raw bit patterns via [`yf_tensor::hex`] (the
+//! same codec as the optimizer state checkpoints) so a result computed
 //! in a worker process and merged by the coordinator is bitwise
 //! identical to one computed in-process.
 
 use crate::trainer::{RunResult, TrainCheckpoint};
 use std::fmt;
-use yf_wire::hex::{f32_row, f32_unrow, metric_row, metric_unrow, HexError};
-
-// The scalar codecs, re-exported for protocol code that historically
-// imported them from here.
-pub use yf_wire::hex::{f32_hex, f32_unhex};
+use yf_tensor::hex::{f32_hex, f32_row, f32_unhex, f32_unrow, metric_row, metric_unrow, HexError};
 
 /// Error decoding a checkpoint or result payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,5 +219,50 @@ mod tests {
         }
         assert!(decode_result("yf-fleet-result v1\nlosses zz\n").is_err());
         assert!(decode_result("wrong header\n").is_err());
+    }
+
+    /// Format-freeze pin: a checkpoint whose optimizer block comes from
+    /// `StateWriter` (adam), and a run result, with NaN, -0, inf and a
+    /// subnormal among the parameters. Sealed fleet files resume across
+    /// builds only while these bytes stay the same.
+    #[test]
+    fn checkpoint_and_result_bytes_are_frozen() {
+        use super::super::fsio::fnv1a;
+        use yf_optim::{Adam, Optimizer};
+        use yf_tensor::rng::Pcg32;
+
+        let mut rng = Pcg32::seed(64);
+        let mut opt = Adam::new(0.01);
+        let mut params: Vec<f32> = (0..64).map(|_| rng.normal()).collect();
+        let mut losses = Vec::new();
+        for _ in 0..10 {
+            let grads: Vec<f32> = (0..64).map(|_| rng.normal()).collect();
+            opt.step(&mut params, &grads);
+            losses.push(rng.uniform());
+        }
+        params.extend([f32::NAN, -0.0, f32::INFINITY, f32::from_bits(1)]);
+        let metrics = vec![(5, 0.5), (10, f64::from(rng.uniform()))];
+        let ckpt = TrainCheckpoint {
+            step: 10,
+            base_lr: 0.01,
+            params: params.clone(),
+            losses: losses.clone(),
+            metrics: metrics.clone(),
+            opt_state: opt.checkpoint_state().unwrap(),
+        };
+        let result = RunResult {
+            losses,
+            metrics,
+            final_params: params,
+        };
+        let (ckpt, result) = (encode_checkpoint(&ckpt), encode_result(&result));
+        assert_eq!(
+            (ckpt.len(), fnv1a(ckpt.as_bytes())),
+            (2064, 0x84a3_901e_e3f4_19e5)
+        );
+        assert_eq!(
+            (result.len(), fnv1a(result.as_bytes())),
+            (788, 0xdc9e_e69d_404f_4f74)
+        );
     }
 }

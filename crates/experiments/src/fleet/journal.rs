@@ -15,6 +15,7 @@ use super::json::{self, Json};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use yf_tensor::hex;
 
 /// One journal event.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +64,10 @@ impl Event {
             } => Json::obj(vec![
                 ("e", Json::str("job")),
                 ("cell", Json::u64(*cell as u64)),
-                ("value", Json::str(format!("{value_bits:08x}"))),
+                (
+                    "value",
+                    Json::str(hex::f32_hex(f32::from_bits(*value_bits))),
+                ),
                 ("seed", Json::u64(*seed)),
             ]),
             Event::Lease {
@@ -102,9 +106,10 @@ impl Event {
         let cell = v.u64_field("cell").map_err(|e| bad(e.to_string()))? as usize;
         match kind.as_str() {
             "job" => {
-                let hex = v.str_field("value").map_err(|e| bad(e.to_string()))?;
-                let value_bits = u32::from_str_radix(hex, 16)
-                    .map_err(|_| bad(format!("bad value bits {hex:?}")))?;
+                let text = v.str_field("value").map_err(|e| bad(e.to_string()))?;
+                let value_bits = hex::f32_unhex(text)
+                    .map_err(|_| bad(format!("bad value bits {text:?}")))?
+                    .to_bits();
                 let seed = v.u64_field("seed").map_err(|e| bad(e.to_string()))?;
                 Ok(Event::Job {
                     cell,

@@ -31,9 +31,10 @@ pub mod proto;
 pub mod registry;
 pub mod worker;
 
-// The wire dialect (line JSON, hex-bit floats, sealed atomic files) is
-// shared with `yf-serve`; it lives in `yf-wire` so fleet and serve
-// cannot drift. Re-exported under the original fleet paths.
+// The wire dialect (line JSON, sealed atomic files) is shared with
+// `yf-serve`; it lives in `yf-wire` so fleet and serve cannot drift, and
+// floats inside it are `yf_tensor::hex` bit patterns. Re-exported under
+// the original fleet paths.
 pub use yf_wire::{fsio, json};
 
 pub use coordinator::{

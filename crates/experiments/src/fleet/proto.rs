@@ -6,8 +6,8 @@
 //! terminal `done`/`error` line. Floats travel as hex bit patterns
 //! inside JSON strings so nothing is lost to decimal formatting.
 
-use super::codec::{f32_hex, f32_unhex};
 use super::json::{self, Json, JsonError};
+use yf_tensor::hex::{f32_hex, f32_unhex};
 
 /// A grid cell dispatch: everything a worker needs to run one
 /// `(value, seed)` training cell and persist its artifacts.

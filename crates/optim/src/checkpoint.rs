@@ -12,10 +12,14 @@
 //!
 //! The format is the same human-readable `key value` / hex-bits scheme
 //! the `yellowfin` crate uses for its tuner checkpoints: floats travel as
-//! bit patterns, so save → load round-trips are bitwise exact and a
-//! resumed trajectory is indistinguishable from an uninterrupted one.
+//! bit patterns written by [`yf_tensor::hex`] (8 or 16 digits each,
+//! comma-joined for vectors), so save → load round-trips are bitwise
+//! exact and a resumed trajectory is indistinguishable from an
+//! uninterrupted one. Reads are as strict as the codec: a float field
+//! with a sign or the wrong number of digits is an [`OptStateError`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use yf_tensor::hex;
 
 /// Error from [`crate::Optimizer::restore_checkpoint`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,29 +64,32 @@ impl StateWriter {
 
     /// Writes one `key value` line.
     pub fn field(&mut self, key: &str, value: impl fmt::Display) {
+        let _ = writeln!(self.key(key), "{value}");
+    }
+
+    /// Starts the line of `key`, returning the output for its value.
+    fn key(&mut self, key: &str) -> &mut String {
         self.out.push_str(key);
         self.out.push(' ');
-        self.out.push_str(&value.to_string());
-        self.out.push('\n');
+        &mut self.out
     }
 
     /// f32 with bit-exact round-trip (hex bits).
     pub fn f32_field(&mut self, key: &str, value: f32) {
-        self.field(key, format!("{:08x}", value.to_bits()));
+        hex::push_f32(self.key(key), value);
+        self.out.push('\n');
     }
 
     /// f64 with bit-exact round-trip (hex bits).
     pub fn f64_field(&mut self, key: &str, value: f64) {
-        self.field(key, format!("{:016x}", value.to_bits()));
+        hex::push_f64(self.key(key), value);
+        self.out.push('\n');
     }
 
     /// A (possibly empty) f32 vector as comma-joined hex bits.
     pub fn f32_slice(&mut self, key: &str, values: &[f32]) {
-        let body: Vec<String> = values
-            .iter()
-            .map(|v| format!("{:08x}", v.to_bits()))
-            .collect();
-        self.field(key, body.join(","));
+        hex::push_f32_row(self.key(key), values);
+        self.out.push('\n');
     }
 
     /// The finished checkpoint text.
@@ -144,31 +151,20 @@ impl<'a> StateReader<'a> {
 
     /// Bit-exact f32.
     pub fn f32(&self, key: &str) -> Result<f32, OptStateError> {
-        let bits = u32::from_str_radix(self.raw(key)?, 16)
-            .map_err(|_| OptStateError::new(format!("bad f32 bits in {key}")))?;
-        Ok(f32::from_bits(bits))
+        hex::f32_unhex(self.raw(key)?)
+            .map_err(|_| OptStateError::new(format!("bad f32 bits in {key}")))
     }
 
     /// Bit-exact f64.
     pub fn f64(&self, key: &str) -> Result<f64, OptStateError> {
-        let bits = u64::from_str_radix(self.raw(key)?, 16)
-            .map_err(|_| OptStateError::new(format!("bad f64 bits in {key}")))?;
-        Ok(f64::from_bits(bits))
+        hex::f64_unhex(self.raw(key)?)
+            .map_err(|_| OptStateError::new(format!("bad f64 bits in {key}")))
     }
 
     /// Bit-exact f32 vector (empty value → empty vector).
     pub fn f32_vec(&self, key: &str) -> Result<Vec<f32>, OptStateError> {
-        let raw = self.raw(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|part| {
-                u32::from_str_radix(part, 16)
-                    .map(f32::from_bits)
-                    .map_err(|_| OptStateError::new(format!("bad f32 list in {key}")))
-            })
-            .collect()
+        hex::f32_unrow(self.raw(key)?)
+            .map_err(|_| OptStateError::new(format!("bad f32 list in {key}")))
     }
 
     /// An optional dimension: `none` or a count.
@@ -232,5 +228,15 @@ mod tests {
         let r = StateReader::new(&text, "sgd").unwrap();
         assert!(r.raw("absent").is_err());
         assert!(r.f32("kind").is_err(), "non-hex bits must be rejected");
+        // Floats are exactly 8 or 16 hex digits: no sign, no short form.
+        let text = "kind sgd\nversion 1\nlr 3dc\nsigned +3dccccc\nbeta 3fefffffffffff\n\
+                    list 3dc,+1\nplus 3dcccccd,+3dccccc\nupper 3DCCCCCD\n";
+        let r = StateReader::new(text, "sgd").unwrap();
+        assert!(r.f32("lr").is_err());
+        assert!(r.f32("signed").is_err());
+        assert!(r.f64("beta").is_err());
+        assert!(r.f32_vec("list").is_err());
+        assert!(r.f32_vec("plus").is_err());
+        assert_eq!(r.f32("upper").unwrap(), 0.1);
     }
 }

@@ -1,6 +1,6 @@
 //! The serve wire protocol: line-delimited JSON frames in the shared
-//! [`yf_wire`] dialect (floats as hex bit patterns, one frame per line),
-//! plus a binary fast path for the data plane.
+//! [`yf_wire`] dialect (floats as [`yf_tensor::hex`] bit patterns, one
+//! frame per line), plus a binary fast path for the data plane.
 //!
 //! A client opens named sessions over one TCP connection and streams
 //! per-step measurements; the server answers each accepted measurement
@@ -38,8 +38,8 @@ use crate::filter::FilterSpec;
 use std::fmt;
 use yf_optim::Hyper;
 use yf_tensor::env;
+use yf_tensor::hex::{f32_hex, f32_row, f32_unhex, f32_unrow, f64_hex, f64_unhex, HexError};
 use yf_wire::binary::{self, BinError, Builder, Cursor};
-use yf_wire::hex::{f32_hex, f32_row, f32_unhex, f32_unrow, f64_hex, f64_unhex, HexError};
 use yf_wire::json::{self, Json, JsonError};
 
 /// Error decoding a protocol frame.

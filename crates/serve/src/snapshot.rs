@@ -4,8 +4,9 @@
 //! [`yf_wire::fsio::write_sealed`], so a SIGKILL mid-write leaves either
 //! the previous snapshot or a `Torn` seal — never a half state). The
 //! payload here is the line-oriented `key value` format the fleet codec
-//! uses, with floats as hex bit patterns and two embedded multi-line
-//! blocks: the quality-gate state and the optimizer checkpoint.
+//! uses, with floats as [`yf_tensor::hex`] bit patterns and two embedded
+//! multi-line blocks: the quality-gate state and the optimizer
+//! checkpoint.
 
 use crate::authority::Authority;
 use crate::filter::FilterSpec;
@@ -13,7 +14,7 @@ use crate::proto::OpenSpec;
 use crate::session::Outcome;
 use std::fmt;
 use yf_optim::Hyper;
-use yf_wire::hex::{f32_row, f32_unrow, f64_hex, f64_unhex, HexError};
+use yf_tensor::hex::{f32_row, f32_unrow, f64_hex, f64_unhex, HexError};
 
 const HEADER: &str = "yf-serve-session v1";
 
@@ -379,5 +380,51 @@ mod tests {
         assert!(decode(&text.replace("gate_lines 2", "gate_lines 99")).is_err());
         assert!(decode(&text.replace("outcome tuned", "outcome perhaps")).is_err());
         assert!(decode("wrong header\n").is_err());
+    }
+
+    /// Format-freeze pin: a dim-64 yellowfin session after 30 seeded
+    /// measurements. Sealed snapshots resume across builds only while
+    /// these bytes, and the measure line that fed the last step, stay
+    /// the same.
+    #[test]
+    fn snapshot_and_measure_line_bytes_are_frozen() {
+        use crate::proto::ClientFrame;
+        use crate::session::Session;
+        use yf_tensor::rng::Pcg32;
+        use yf_wire::fsio::fnv1a;
+
+        let (name, dim) = ("pin-64", 64);
+        let mut session = Session::new(OpenSpec {
+            session: name.to_string(),
+            optimizer: "yellowfin".to_string(),
+            value: 1.0,
+            dim,
+            authority: Authority::default(),
+            filter: FilterSpec::default(),
+        })
+        .unwrap();
+        let mut rng = Pcg32::seed(30);
+        let mut line = String::new();
+        for step in 0..30 {
+            let loss = rng.uniform();
+            let grads: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+            session.measure(step, loss, &grads).unwrap();
+            line = ClientFrame::Measure {
+                session: name.to_string(),
+                step,
+                loss,
+                grads,
+            }
+            .to_line();
+        }
+        let snap = encode(&session.snapshot());
+        assert_eq!(
+            (line.len(), fnv1a(line.as_bytes())),
+            (651, 0x8711_8af6_4549_a1c3)
+        );
+        assert_eq!(
+            (snap.len(), fnv1a(snap.as_bytes())),
+            (4599, 0x57a3_e159_eecf_5a82)
+        );
     }
 }

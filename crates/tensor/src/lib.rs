@@ -7,7 +7,8 @@
 //! generator so every experiment in the repository is bit-reproducible, and
 //! the small-matrix spectral tools ([`linalg`]) used to *compute* the
 //! momentum-operator spectral radii that the paper's Lemmas 3 and 6 reason
-//! about.
+//! about. It also holds [`hex`], the one bit-exact float text codec every
+//! wire frame, snapshot and checkpoint in the workspace writes through.
 //!
 //! # Example
 //!
@@ -24,6 +25,7 @@
 pub mod elementwise;
 pub mod env;
 pub mod gemm;
+pub mod hex;
 pub mod linalg;
 pub mod parallel;
 pub mod reduce;

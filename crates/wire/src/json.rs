@@ -6,7 +6,12 @@
 //! small self-contained codec. Numbers are kept as their raw literal
 //! text ([`Json::Num`]) — the wire dialect never round-trips a float
 //! through decimal (floats travel as hex bit patterns inside JSON
-//! strings, see [`crate::hex`]), so no precision policy is needed here.
+//! strings, see `yf_tensor::hex`), so no precision policy is needed here.
+//!
+//! Strings are copied a run at a time: the writer escapes only `"`, `\`
+//! and control characters and writes everything between them with one
+//! `write_str`; the reader copies everything up to the next `"` or `\`
+//! with one `push_str`. A dim-4096 gradient row is one such run.
 
 use std::fmt;
 
@@ -111,21 +116,7 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => f.write_str(n),
-            Json::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -142,12 +133,38 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
         }
     }
+}
+
+/// Writes `s` as a quoted JSON string. Only `"`, `\` and control
+/// characters are escaped; every run between them is written whole.
+/// All three are ASCII, so each run ends on a character boundary.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
@@ -157,11 +174,10 @@ impl fmt::Display for Json {
 ///
 /// [`JsonError`] with the byte offset of the first offending character.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(err(pos, "trailing characters"));
     }
     Ok(value)
@@ -189,17 +205,18 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_obj(text, pos),
+        Some(b'[') => parse_arr(text, pos),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
+        Some(_) => parse_num(text, pos),
     }
 }
 
@@ -212,7 +229,8 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_num(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -226,24 +244,35 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     if *pos == digits_start {
         return Err(err(start, "expected a value"));
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
+    let literal = &text[start..*pos];
     // Validate by parsing; the raw text is preserved.
-    text.parse::<f64>()
+    literal
+        .parse::<f64>()
         .map_err(|_| err(start, "malformed number"))?;
-    Ok(Json::Num(text.to_string()))
+    Ok(Json::Num(literal.to_string()))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash whole. Both are
+        // ASCII, so the run ends on a character boundary.
+        let end = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| *pos + n);
+        out.push_str(&text[*pos..end]);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at a backslash: one escape sequence.
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -258,10 +287,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-ascii \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
+                        // Exactly four hex digits: no sign, no shorter form.
+                        let code = hex
+                            .iter()
+                            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
+                            .ok_or_else(|| err(*pos, "bad \\u escape"))?;
                         // Surrogates are not paired; the fleet never emits them.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
@@ -270,28 +300,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(&c) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let width = utf8_width(c);
-                let s = std::str::from_utf8(&bytes[*pos..*pos + width])
-                    .map_err(|_| err(*pos, "invalid utf-8"))?;
-                out.push_str(s);
-                *pos += width;
-            }
         }
     }
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -300,7 +314,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -313,7 +327,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -323,10 +338,10 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -364,6 +379,14 @@ mod tests {
         assert!(parse("{\"type\":\"done\",\"cel").is_err());
         assert!(parse("{\"a\":1}garbage").is_err());
         assert!(parse("").is_err());
+        // A \u escape takes exactly four hex digits.
+        assert!(parse(r#""\u+123""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\u12g4""#).is_err());
+        assert_eq!(
+            parse(r#""\u00E9\u00e9""#).unwrap(),
+            Json::str("\u{e9}\u{e9}")
+        );
     }
 
     #[test]

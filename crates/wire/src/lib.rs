@@ -1,17 +1,16 @@
 //! The wire dialect shared by every yf process boundary.
 //!
 //! The fleet coordinator/worker protocol (PR 7) and the `yf-serve` tuning
-//! service speak the same three-layer dialect, factored here so the two
+//! service speak the same dialect, factored here so the two
 //! cannot drift:
 //!
 //! - [`json`]: a minimal self-contained line-JSON reader/writer (the
 //!   build environment is offline, so no serde). Numbers keep their raw
-//!   literal text; floats never travel as decimals.
-//! - [`hex`]: bit-exact float codecs — every `f32`/`f64` crosses a
-//!   process or machine boundary as its hex bit pattern inside a JSON
-//!   string, so NaN payloads, signed zeros, and ±inf round-trip
-//!   bit-for-bit and results merged across processes are bitwise
-//!   identical to in-process ones.
+//!   literal text; floats never travel as decimals. Every `f32`/`f64`
+//!   crosses a process or machine boundary as its hex bit pattern inside
+//!   a JSON string, written by `yf_tensor::hex`, so NaN payloads, signed
+//!   zeros, and ±inf round-trip bit-for-bit and results merged across
+//!   processes are bitwise identical to in-process ones.
 //! - [`fsio`]: crash-safe file primitives — atomic (tmp + fsync +
 //!   rename) writes and checksum-sealed loads that reject torn files
 //!   with typed errors. Fleet checkpoints/results and serve session
@@ -26,9 +25,7 @@
 
 pub mod binary;
 pub mod fsio;
-pub mod hex;
 pub mod json;
 pub mod sigpipe;
 
-pub use hex::{f32_hex, f32_unhex, f64_hex, f64_unhex, HexError};
 pub use json::{Json, JsonError};

@@ -1,79 +1,94 @@
 //! Property tests pinning the wire dialect: arbitrary bit patterns
 //! (including NaN payloads, ±inf, signed zeros, subnormals) must
-//! round-trip bit-exactly through the hex codecs and the JSON layer,
+//! round-trip bit-exactly as hex strings through the JSON layer, any
+//! string must escape exactly like a per-character reference escaper,
 //! and torn frames/files must be rejected, never silently accepted.
 //! The binary dialect gets the same treatment: framed payloads
 //! round-trip bit-exactly, and every truncation, length
 //! mutation, or checksum flip yields a typed [`binary::BinError`] —
 //! the decoders never panic and never read past the frame.
+//!
+//! The float codec itself is `yf_tensor::hex`, pinned in that crate's
+//! `prop_hex` tests; rows here are built inline, in the same format.
 
 use proptest::prelude::*;
 use std::io::Cursor;
 use yf_wire::binary::{self, RawFrame};
-use yf_wire::hex;
 use yf_wire::json::{self, Json};
+
+/// An `f32` row in the wire format: `{:08x}` per value, joined with `,`.
+fn hex_row(bits: &[u32]) -> String {
+    bits.iter()
+        .map(|b| format!("{b:08x}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// A character drawn to stress the escaper: quotes, backslashes, every
+/// control character, printable ASCII, and any Unicode scalar (2-, 3-
+/// and 4-byte UTF-8).
+fn stress_char(seed: u32) -> char {
+    let pick = seed / 4;
+    match seed % 4 {
+        0 => ['"', '\\', '/', '\u{7f}'][pick as usize % 4],
+        1 => char::from_u32(pick % 0x20).unwrap(),
+        2 => char::from_u32(0x20 + pick % 0x5f).unwrap(),
+        _ => char::from_u32(pick % 0x11_0000).unwrap_or('\u{fffd}'),
+    }
+}
+
+/// The escaper the writer must match, one character at a time.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn f32_bits_round_trip(bits in any::<u32>()) {
-        let v = f32::from_bits(bits);
-        let back = hex::f32_unhex(&hex::f32_hex(v)).unwrap();
-        prop_assert_eq!(back.to_bits(), bits);
-    }
-
-    #[test]
-    fn f64_bits_round_trip(bits in any::<u64>()) {
-        let v = f64::from_bits(bits);
-        let back = hex::f64_unhex(&hex::f64_hex(v)).unwrap();
-        prop_assert_eq!(back.to_bits(), bits);
-    }
-
-    #[test]
-    fn f32_rows_round_trip(bits in prop::collection::vec(any::<u32>(), 0..40)) {
-        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let back = hex::f32_unrow(&hex::f32_row(&values)).unwrap();
-        let back_bits: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(back_bits, bits);
-    }
-
-    #[test]
-    fn f64_rows_round_trip(bits in prop::collection::vec(any::<u64>(), 0..40)) {
-        let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-        let back = hex::f64_unrow(&hex::f64_row(&values)).unwrap();
-        let back_bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(back_bits, bits);
-    }
-
-    #[test]
-    fn metric_rows_round_trip(pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..20)) {
-        let metrics: Vec<(u64, f64)> = pairs
-            .iter()
-            .map(|&(i, b)| (i, f64::from_bits(b)))
-            .collect();
-        let back = hex::metric_unrow(&hex::metric_row(&metrics)).unwrap();
-        prop_assert_eq!(back.len(), metrics.len());
-        for (got, want) in back.iter().zip(metrics.iter()) {
-            prop_assert_eq!(got.0, want.0);
-            prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
-        }
+    fn strings_escape_like_the_reference_and_parse_back(
+        seeds in prop::collection::vec(any::<u32>(), 0..40),
+    ) {
+        let s: String = seeds.iter().map(|&seed| stress_char(seed)).collect();
+        let quoted = reference_escape(&s);
+        prop_assert_eq!(&Json::Str(s.clone()).to_string(), &quoted);
+        prop_assert_eq!(json::parse(&quoted).unwrap(), Json::Str(s.clone()));
+        // Object keys go through the same escaper.
+        let obj = Json::Obj(vec![(s.clone(), Json::Null)]);
+        prop_assert_eq!(obj.to_string(), format!("{{{quoted}:null}}"));
+        prop_assert_eq!(json::parse(&obj.to_string()).unwrap(), obj);
     }
 
     #[test]
     fn hex_floats_survive_a_json_frame(bits in prop::collection::vec(any::<u32>(), 1..20)) {
         // The dialect in one frame: floats as hex strings inside a
         // protocol-shaped object, serialized to a line and parsed back.
-        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let frame = Json::obj(vec![
             ("type", Json::str("measure")),
             ("step", Json::u64(bits.len() as u64)),
-            ("grads", Json::str(hex::f32_row(&values))),
+            ("grads", Json::str(hex_row(&bits))),
         ]);
         let line = frame.to_string();
         let back = json::parse(&line).unwrap();
-        let row = hex::f32_unrow(back.str_field("grads").unwrap()).unwrap();
-        let back_bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+        let back_bits: Vec<u32> = back
+            .str_field("grads")
+            .unwrap()
+            .split(',')
+            .map(|digits| u32::from_str_radix(digits, 16).unwrap())
+            .collect();
         prop_assert_eq!(back_bits, bits);
     }
 
@@ -83,7 +98,7 @@ proptest! {
         // parse; only the full line parses.
         let frame = Json::obj(vec![
             ("type", Json::str("hyper")),
-            ("lr", Json::str(hex::f32_hex(f32::from_bits(bits)))),
+            ("lr", Json::str(format!("{bits:08x}"))),
         ]);
         let line = frame.to_string();
         prop_assert!(json::parse(&line).is_ok());
@@ -105,12 +120,11 @@ proptest! {
         // arbitrary line damage; this pins the decoder's contract under
         // it: a typed `JsonError` or a (possibly nonsensical but valid)
         // value — never a panic, for any truncation or byte mutation.
-        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let frame = Json::obj(vec![
             ("type", Json::str("measure")),
             ("session", Json::str("fuzz \"target\" \\ line")),
             ("step", Json::u64(step)),
-            ("grads", Json::str(hex::f32_row(&values))),
+            ("grads", Json::str(hex_row(&bits))),
         ]);
         let line = frame.to_string();
 
@@ -127,30 +141,7 @@ proptest! {
         let pos = (pos_seed as usize) % damaged.len();
         damaged[pos] = byte;
         let damaged = String::from_utf8_lossy(&damaged);
-        if let Ok(parsed) = json::parse(&damaged) {
-            // A frame that still parses may still carry a mangled hex
-            // row; the row decoder must also fail typed, not panic.
-            if let Ok(row) = parsed.str_field("grads") {
-                let _ = hex::f32_unrow(row);
-            }
-        }
-    }
-
-    #[test]
-    fn mutated_hex_rows_error_but_never_panic(
-        bits in prop::collection::vec(any::<u32>(), 1..12),
-        pos_seed in any::<u64>(),
-        byte in any::<u8>(),
-    ) {
-        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let mut row = hex::f32_row(&values).into_bytes();
-        let pos = (pos_seed as usize) % row.len();
-        row[pos] = byte;
-        let row = String::from_utf8_lossy(&row);
-        match hex::f32_unrow(&row) {
-            Ok(back) => prop_assert!(back.len() <= values.len() + 1),
-            Err(e) => prop_assert!(!e.to_string().is_empty(), "typed error with a message"),
-        }
+        let _ = json::parse(&damaged);
     }
 
     #[test]
@@ -160,7 +151,7 @@ proptest! {
         // back `Torn`, never as silently shortened content.
         let body: String = body_bits
             .iter()
-            .map(|&b| format!("v {}\n", hex::f64_hex(f64::from_bits(b))))
+            .map(|&b| format!("v {b:016x}\n"))
             .collect();
         let dir = std::env::temp_dir().join(format!("yf-wire-prop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
