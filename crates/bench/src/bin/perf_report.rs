@@ -32,7 +32,10 @@
 //! (line JSON and the negotiated binary fast path, each forced
 //! explicitly so the entries are stable under `YF_SERVE_WIRE`), at 1
 //! and at 32 concurrent sessions. The negotiated dialect is recorded in
-//! the header (`serve_wire`). The `hex_f32_*` entries time the float
+//! the header (`serve_wire`). `serve_durable_stats_1_session` times the
+//! durable path (a snapshot sealed before every reply): YellowFin's
+//! moments kept by the client and `measure_stats` frames, against the
+//! full-gradient `measure` stream as its seed. The `hex_f32_*` entries time the float
 //! text codec those JSON frames are made of, against the seed
 //! `format!`/`from_str_radix` codec, and gate like every other kernel.
 //!
@@ -51,12 +54,14 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use yellowfin::measurements::GradVariance;
 use yellowfin::YellowFin;
 use yf_autograd::conv::{self, reference as conv_ref};
 use yf_autograd::norm::{self, reference as norm_ref};
 use yf_autograd::ConvSpec;
 use yf_optim::sharded::{step_fused, step_sharded};
 use yf_optim::{Adam, Hyper, MomentumSgd, Optimizer, ParamShard};
+use yf_serve::registry::yellowfin_config;
 use yf_serve::{
     Authority, Client, ClientConfig, FilterSpec, OpenSpec, ServeConfig, Server, Session,
     WireDialect,
@@ -64,6 +69,7 @@ use yf_serve::{
 use yf_tensor::gemm::reference as gemm_ref;
 use yf_tensor::hex;
 use yf_tensor::parallel::{self, Par};
+use yf_tensor::reduce;
 use yf_tensor::rng::Pcg32;
 use yf_tensor::Tensor;
 
@@ -953,6 +959,56 @@ fn main() {
         push("serve_measure_32_sessions", json_many, local);
         let bin_many = stream_many(&bin_cfg, "b");
         push("serve_measure_binary_32_sessions", bin_many, json_many);
+
+        // The durable path, where every measurement is sealed to disk
+        // before its reply: one JSON session at a time against a server
+        // with a snapshot directory. The new side keeps YellowFin's
+        // moments locally, sweeps each gradient once (the default
+        // configuration never clips, so the sweep scale is 1) and sends
+        // `measure_stats`; the seed sends the full gradient with
+        // `measure`, so the server sweeps and seals the moments. Both
+        // sides are sampled alternately; the name stays outside
+        // `serve_measure_`, so the gate bands the speedup.
+        let dir = std::env::temp_dir().join(format!("yf-perf-durable-{}", std::process::id()));
+        let durable = Server::start(ServeConfig {
+            snapshot_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .expect("start durable yf-serve");
+        let durable_addr = durable.local_addr();
+        let (mut stats_round, mut grads_round) = (0u64, 0u64);
+        let (stats_batch, grads_batch) = paired_median_ns(
+            || {
+                stats_round += 1;
+                let spec = open_spec(format!("stats-{stats_round}"), dim);
+                let name = spec.session.clone();
+                let mut client = Client::connect_with(durable_addr, &json_cfg).expect("connect");
+                client.open(spec).expect("open session");
+                let mut moments = GradVariance::new(yellowfin_config(0.1).beta);
+                for (i, g) in grads.iter().enumerate() {
+                    let sumsq = reduce::tree_reduce(&reduce::block_sumsq(g));
+                    moments.observe_scaled(g, 1.0, 1);
+                    std::hint::black_box(
+                        client
+                            .measure_stats(&name, i as u64, 0.5, sumsq, moments.variance())
+                            .expect("measure_stats"),
+                    );
+                }
+                client.close_session(&name).expect("close session");
+            },
+            || {
+                grads_round += 1;
+                let spec = open_spec(format!("grads-{grads_round}"), dim);
+                stream_one(durable_addr, &json_cfg, spec, &grads);
+            },
+        );
+        push(
+            "serve_durable_stats_1_session",
+            (stats_batch / frames as u128).max(1),
+            (grads_batch / frames as u128).max(1),
+        );
+        let _ = durable.drain();
+        let _ = std::fs::remove_dir_all(&dir);
 
         // Record what the server actually negotiated when asked for the
         // fast path — "binary" unless the server downgraded us.

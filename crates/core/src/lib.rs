@@ -18,6 +18,13 @@
 //! 3. smooths those with zero-debiased exponential averages and applies a
 //!    momentum SGD step ([`tuner::YellowFin`]).
 //!
+//! The tuning decision reads the gradient only through `||g||^2` and the
+//! variance total `C`, so [`YellowFin`] is split along that seam: the
+//! scalar [`TunerCore`] (curvature window, distance and μ/α averages,
+//! clip threshold) and the vector [`measurements::GradVariance`] (the
+//! per-coordinate moments), joined by a velocity buffer. A served
+//! session can run the core alone, fed four scalars per step.
+//!
 //! Optional extras from the paper: adaptive gradient clipping for
 //! exploding-gradient objectives (§3.3, Appendix F) and the closed-loop
 //! variant for asynchronous training that measures *total* momentum and
@@ -56,4 +63,4 @@ pub mod tuner;
 pub use closed_loop::{ClosedLoopAdam, ClosedLoopYellowFin, TotalMomentumEstimator};
 pub use measurements::OutlierGate;
 pub use state::RestoreStateError;
-pub use tuner::{ClipMode, YellowFin, YellowFinConfig};
+pub use tuner::{ClipMode, TunerCore, YellowFin, YellowFinConfig};

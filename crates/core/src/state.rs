@@ -4,7 +4,8 @@
 //! checkpoint *its* state too, or a restart silently re-enters the slow
 //!-start warm-up with empty measurement averages (a lesson the paper's
 //! §3.3 "large-scale deployment in industry" discussion alludes to).
-//! This module serializes a [`YellowFin`] tuner to a small, versioned,
+//! This module serializes a [`YellowFin`] tuner — or either of its
+//! halves, [`TunerCore`] and [`GradVariance`] — to a small, versioned,
 //! human-readable text block and restores it bit-exactly — no external
 //! serialization crates needed. Floats are hex bit patterns written by
 //! [`yf_tensor::hex`], appended straight into the block; a float with a
@@ -27,8 +28,10 @@
 //! assert_eq!(opt.momentum(), restored.momentum());
 //! ```
 
-use crate::tuner::YellowFin;
+use crate::measurements::{DistanceToOpt, GradVariance};
+use crate::tuner::{ClipMode, TunerCore, YellowFin, YellowFinConfig};
 use std::fmt::{self, Write as _};
+use yf_optim::ShardedState;
 use yf_tensor::hex;
 
 /// Error from [`YellowFin::restore_state`].
@@ -159,7 +162,22 @@ impl YellowFin {
     /// averages, sliding window, velocity buffer) to a versioned text
     /// block. The inverse is [`YellowFin::restore_state`].
     pub fn save_state(&self) -> String {
-        self.write_state()
+        let mut w = Writer::new();
+        self.core.write_head(&mut w);
+        self.variance.write_moments(&mut w);
+        self.core.write_smoothers(&mut w);
+        // The per-shard velocity is stitched back into one flat vector,
+        // so checkpoints are independent of the shard plan that produced
+        // them.
+        w.f32_slice("velocity", &self.velocity.flatten(0));
+        w.field(
+            "dim",
+            self.dim
+                .map(|d| d.to_string())
+                .unwrap_or_else(|| "none".into()),
+        );
+        self.core.write_last_norm(&mut w);
+        w.finish()
     }
 
     /// Reconstructs a tuner from [`YellowFin::save_state`] output.
@@ -169,15 +187,52 @@ impl YellowFin {
     /// Returns [`RestoreStateError`] on version mismatch, missing fields
     /// or malformed values.
     pub fn restore_state(text: &str) -> Result<Self, RestoreStateError> {
-        Self::read_state(text)
+        let r = Reader::new(text)?;
+        let mut tuner = YellowFin {
+            core: TunerCore::read(&r)?,
+            variance: GradVariance::read(&r)?,
+            velocity: ShardedState::new(1),
+            dim: None,
+        };
+        let velocity = r.f32_vec("velocity")?;
+        if !velocity.is_empty() {
+            tuner.velocity.load_full(vec![velocity]);
+        }
+        tuner.dim = match r.raw("dim")? {
+            "none" => None,
+            d => Some(d.parse().map_err(|_| RestoreStateError::new("bad dim"))?),
+        };
+        Ok(tuner)
     }
 }
 
-impl YellowFin {
-    pub(crate) fn write_state(&self) -> String {
-        use crate::tuner::ClipMode;
+/// The two halves write the keys the whole [`YellowFin`] block uses for
+/// the same fields, so a `YellowFin` block also restores as either half.
+impl TunerCore {
+    /// Serializes the core to a versioned text block in the dialect of
+    /// [`YellowFin::save_state`]. The inverse is
+    /// [`TunerCore::restore_state`].
+    pub fn save_state(&self) -> String {
         let mut w = Writer::new();
-        // Configuration.
+        self.write_head(&mut w);
+        self.write_smoothers(&mut w);
+        self.write_last_norm(&mut w);
+        w.finish()
+    }
+
+    /// Reconstructs a core from [`TunerCore::save_state`] output, or
+    /// from a whole [`YellowFin::save_state`] block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RestoreStateError`] on version mismatch, missing fields
+    /// or malformed values.
+    pub fn restore_state(text: &str) -> Result<Self, RestoreStateError> {
+        TunerCore::read(&Reader::new(text)?)
+    }
+
+    /// Configuration and curvature window.
+    fn write_head(&self, w: &mut Writer) {
         w.f64_field("cfg.beta", self.cfg.beta);
         w.field("cfg.window", self.cfg.window);
         w.f64_field("cfg.lr_factor", self.cfg.lr_factor);
@@ -191,42 +246,32 @@ impl YellowFin {
             Some(m) => w.f64_field("cfg.momentum_override", m),
             None => w.field("cfg.momentum_override", "none"),
         }
-        // Measurement state.
         w.f64_slice(
             "curvature.window",
             &Vec::from(self.curvature.window.clone()),
         );
-        write_ema(&mut w, "curvature.log_h_max", &self.curvature.log_h_max);
-        write_ema(&mut w, "curvature.log_h_min", &self.curvature.log_h_min);
-        write_vec_ema(&mut w, "variance.first", &self.variance.first);
-        write_vec_ema(&mut w, "variance.second", &self.variance.second);
-        write_ema(&mut w, "distance.grad_norm", &self.distance.grad_norm);
-        write_ema(&mut w, "distance.curvature", &self.distance.curvature);
-        write_ema(&mut w, "distance.dist", &self.distance.dist);
-        write_ema(&mut w, "mu_ema", &self.mu_ema);
-        write_ema(&mut w, "lr_ema", &self.lr_ema);
-        // Optimizer state. The per-shard velocity is stitched back into
-        // one flat vector, so checkpoints are independent of the shard
-        // plan that produced them.
+        write_ema(w, "curvature.log_h_max", &self.curvature.log_h_max);
+        write_ema(w, "curvature.log_h_min", &self.curvature.log_h_min);
+    }
+
+    /// Distance and μ/α averages, and the step count.
+    fn write_smoothers(&self, w: &mut Writer) {
+        write_ema(w, "distance.grad_norm", &self.distance.grad_norm);
+        write_ema(w, "distance.curvature", &self.distance.curvature);
+        write_ema(w, "distance.dist", &self.distance.dist);
+        write_ema(w, "mu_ema", &self.mu_ema);
+        write_ema(w, "lr_ema", &self.lr_ema);
         w.field("step_count", self.step_count);
-        w.f32_slice("velocity", &self.velocity.flatten(0));
-        w.field(
-            "dim",
-            self.dim
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "none".into()),
-        );
+    }
+
+    fn write_last_norm(&self, w: &mut Writer) {
         match self.last_norm {
             Some(n) => w.f64_field("last_norm", n),
             None => w.field("last_norm", "none"),
         }
-        w.finish()
     }
 
-    pub(crate) fn read_state(text: &str) -> Result<Self, RestoreStateError> {
-        use crate::measurements::{CurvatureRange, DistanceToOpt, GradVariance};
-        use crate::tuner::{ClipMode, YellowFinConfig};
-        let r = Reader::new(text)?;
+    fn read(r: &Reader<'_>) -> Result<Self, RestoreStateError> {
         let clip = match r.raw("cfg.clip")? {
             "none" => ClipMode::None,
             "adaptive" => ClipMode::Adaptive,
@@ -250,39 +295,62 @@ impl YellowFin {
             slow_start: r.parse("cfg.slow_start")?,
             momentum_override,
         };
-        let mut tuner = YellowFin::new(cfg);
-        tuner.curvature = CurvatureRange {
-            window: r.f64_vec("curvature.window")?.into(),
-            width: tuner.cfg.window,
-            log_h_max: read_ema(&r, "curvature.log_h_max", tuner.cfg.beta)?,
-            log_h_min: read_ema(&r, "curvature.log_h_min", tuner.cfg.beta)?,
-            limit_growth: tuner.cfg.clip == ClipMode::Adaptive,
+        let beta = cfg.beta;
+        let mut core = TunerCore::new(cfg);
+        core.curvature.window = r.f64_vec("curvature.window")?.into();
+        core.curvature.log_h_max = read_ema(r, "curvature.log_h_max", beta)?;
+        core.curvature.log_h_min = read_ema(r, "curvature.log_h_min", beta)?;
+        core.distance = DistanceToOpt {
+            grad_norm: read_ema(r, "distance.grad_norm", beta)?,
+            curvature: read_ema(r, "distance.curvature", beta)?,
+            dist: read_ema(r, "distance.dist", beta)?,
         };
-        tuner.variance = GradVariance::from_parts(
-            read_vec_ema(&r, "variance.first", tuner.cfg.beta)?,
-            read_vec_ema(&r, "variance.second", tuner.cfg.beta)?,
-        );
-        tuner.distance = DistanceToOpt {
-            grad_norm: read_ema(&r, "distance.grad_norm", tuner.cfg.beta)?,
-            curvature: read_ema(&r, "distance.curvature", tuner.cfg.beta)?,
-            dist: read_ema(&r, "distance.dist", tuner.cfg.beta)?,
-        };
-        tuner.mu_ema = read_ema(&r, "mu_ema", tuner.cfg.beta)?;
-        tuner.lr_ema = read_ema(&r, "lr_ema", tuner.cfg.beta)?;
-        tuner.step_count = r.parse("step_count")?;
-        let velocity = r.f32_vec("velocity")?;
-        if !velocity.is_empty() {
-            tuner.velocity.load_full(vec![velocity]);
-        }
-        tuner.dim = match r.raw("dim")? {
-            "none" => None,
-            d => Some(d.parse().map_err(|_| RestoreStateError::new("bad dim"))?),
-        };
-        tuner.last_norm = match r.raw("last_norm")? {
+        core.mu_ema = read_ema(r, "mu_ema", beta)?;
+        core.lr_ema = read_ema(r, "lr_ema", beta)?;
+        core.step_count = r.parse("step_count")?;
+        core.last_norm = match r.raw("last_norm")? {
             "none" => None,
             _ => Some(r.f64("last_norm")?),
         };
-        Ok(tuner)
+        Ok(core)
+    }
+}
+
+impl GradVariance {
+    /// Serializes the moment averages to a versioned text block in the
+    /// dialect of [`YellowFin::save_state`]. The inverse is
+    /// [`GradVariance::restore_state`].
+    pub fn save_state(&self) -> String {
+        let mut w = Writer::new();
+        w.f64_field("cfg.beta", self.first.beta);
+        self.write_moments(&mut w);
+        w.finish()
+    }
+
+    /// Reconstructs the estimator from [`GradVariance::save_state`]
+    /// output, or from a whole [`YellowFin::save_state`] block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RestoreStateError`] on version mismatch, missing fields,
+    /// malformed values, or moments of different lengths.
+    pub fn restore_state(text: &str) -> Result<Self, RestoreStateError> {
+        GradVariance::read(&Reader::new(text)?)
+    }
+
+    fn write_moments(&self, w: &mut Writer) {
+        write_vec_ema(w, "variance.first", &self.first);
+        write_vec_ema(w, "variance.second", &self.second);
+    }
+
+    fn read(r: &Reader<'_>) -> Result<Self, RestoreStateError> {
+        let beta = r.f64("cfg.beta")?;
+        let first = read_vec_ema(r, "variance.first", beta)?;
+        let second = read_vec_ema(r, "variance.second", beta)?;
+        if first.biased.len() != second.biased.len() {
+            return Err(RestoreStateError::new("variance moments differ in length"));
+        }
+        Ok(GradVariance::from_parts(first, second))
     }
 }
 
@@ -321,7 +389,6 @@ fn read_vec_ema(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::{ClipMode, YellowFinConfig};
     use yf_optim::Optimizer;
 
     fn trained_tuner(steps: usize) -> (YellowFin, Vec<f32>) {
@@ -400,7 +467,63 @@ mod tests {
             );
         }
         let upper = YellowFin::restore_state(&with("cfg.clip", "manual:3DCCCCCD")).unwrap();
-        assert_eq!(upper.cfg.clip, ClipMode::Manual(0.1));
+        assert_eq!(upper.core.cfg.clip, ClipMode::Manual(0.1));
+    }
+
+    /// FNV-1a 64, the seal hash of the workspace's sealed files.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Format-freeze pin: a dim-64 tuner after 30 seeded steps. Fleet
+    /// checkpoints and pre-v2 session snapshots embed these bytes, so
+    /// they resume across builds only while the bytes stay the same.
+    #[test]
+    fn save_state_bytes_are_frozen() {
+        use yf_tensor::rng::Pcg32;
+        let dim = 64;
+        let mut opt = YellowFin::new(YellowFinConfig {
+            clip: ClipMode::Adaptive,
+            ..Default::default()
+        });
+        let mut rng = Pcg32::seed(30);
+        let mut x: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+        for _ in 0..30 {
+            let g: Vec<f32> = x.iter().map(|v| v + 0.1 * rng.normal()).collect();
+            opt.step(&mut x, &g);
+        }
+        let saved = opt.save_state();
+        assert_eq!(
+            (saved.len(), fnv1a(saved.as_bytes())),
+            (4238, 0x366a_6047_cf8c_6788)
+        );
+    }
+
+    #[test]
+    fn the_halves_round_trip_and_restore_from_a_whole_block() {
+        let (opt, _) = trained_tuner(40);
+        let whole = opt.save_state();
+        let core = TunerCore::restore_state(&opt.core.save_state()).unwrap();
+        let moments = GradVariance::restore_state(&opt.variance.save_state()).unwrap();
+        assert_eq!(core.save_state(), opt.core.save_state());
+        assert_eq!(moments.save_state(), opt.variance.save_state());
+        assert_eq!(
+            moments.variance().to_bits(),
+            opt.variance.variance().to_bits()
+        );
+        // A whole block holds both halves under the same keys.
+        let from_whole = TunerCore::restore_state(&whole).unwrap();
+        assert_eq!(from_whole.save_state(), opt.core.save_state());
+        let from_whole = GradVariance::restore_state(&whole).unwrap();
+        assert_eq!(from_whole.save_state(), opt.variance.save_state());
+        // Moments of different lengths are refused.
+        let bad = opt.variance.save_state().replace(
+            "variance.second.biased ",
+            "variance.second.biased 0000000000000000,",
+        );
+        assert!(GradVariance::restore_state(&bad).is_err());
     }
 
     #[test]

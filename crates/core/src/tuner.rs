@@ -56,6 +56,157 @@ impl Default for YellowFinConfig {
     }
 }
 
+/// YellowFin's scalar half: every piece of Algorithm 1's state except
+/// the per-coordinate gradient moments.
+///
+/// The tuning decision reads the gradient through two numbers only: the
+/// squared norm `Σg²` (curvature range, distance to optimum, clip
+/// threshold) and the variance total `C` of [`GradVariance`]. The core
+/// holds the curvature window, the distance EMAs, the μ/α EMAs with slow
+/// start and the step count, and the last norm, so it is O(window) in
+/// size whatever the model dimension. [`TunerCore::tune`] is its one
+/// entry point; the vector half is a callback it runs once the clip
+/// scale is known. [`YellowFin`] is a `TunerCore` plus a [`GradVariance`]
+/// plus a velocity buffer, and a `yf-serve` session fed `measure_stats`
+/// frames is a `TunerCore` alone.
+///
+/// # Example
+///
+/// ```
+/// use yellowfin::measurements::GradVariance;
+/// use yellowfin::{TunerCore, YellowFinConfig};
+///
+/// let cfg = YellowFinConfig::default();
+/// let mut core = TunerCore::new(cfg.clone());
+/// let mut moments = GradVariance::new(cfg.beta);
+/// let g = [0.5f32, -1.0];
+/// let sumsq = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+/// let hyper = core.tune(sumsq, 1.0, |scale| {
+///     moments.observe_scaled(&g, scale, 1);
+///     moments.variance()
+/// });
+/// assert!(hyper.lr >= 0.0 && hyper.momentum >= 0.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TunerCore {
+    pub(crate) cfg: YellowFinConfig,
+    pub(crate) curvature: CurvatureRange,
+    pub(crate) distance: DistanceToOpt,
+    pub(crate) mu_ema: Ema,
+    pub(crate) lr_ema: Ema,
+    pub(crate) step_count: u64,
+    pub(crate) last_norm: Option<f64>,
+}
+
+impl TunerCore {
+    /// A fresh core from a configuration.
+    pub fn new(cfg: YellowFinConfig) -> Self {
+        let limit_growth = cfg.clip == ClipMode::Adaptive;
+        TunerCore {
+            curvature: CurvatureRange::new(cfg.window, cfg.beta, limit_growth),
+            distance: DistanceToOpt::new(cfg.beta),
+            mu_ema: Ema::new(cfg.beta),
+            lr_ema: Ema::new(cfg.beta),
+            step_count: 0,
+            last_norm: None,
+            cfg,
+        }
+    }
+
+    /// The configuration the core was built with.
+    pub fn config(&self) -> &YellowFinConfig {
+        &self.cfg
+    }
+
+    /// Tunes one step from the raw gradient's `sumsq = Σg²` and the
+    /// scale `grad_scale` applied by enclosing middleware, and returns
+    /// the step's [`Hyper`] (its `grad_scale` is the clip factor only).
+    ///
+    /// `sweep` is the vector half: it receives the total gradient scale
+    /// (`grad_scale` × the clip factor, which depends only on state from
+    /// before this step) and returns the variance total `C` after folding
+    /// the scaled gradient into the moments. It runs exactly once.
+    pub fn tune(&mut self, sumsq: f64, grad_scale: f32, sweep: impl FnOnce(f64) -> f64) -> Hyper {
+        // 1. The norm the tuner sees includes the scale applied by
+        // enclosing middleware.
+        let norm_before = (f64::from(grad_scale) * sumsq.sqrt()) as f32;
+        let threshold = self.clip_threshold();
+        self.last_norm = Some(f64::from(norm_before));
+        let internal_scale = clip_scale(norm_before, threshold);
+        let clipped_norm = f64::from(norm_before).min(f64::from(threshold));
+
+        // 2. Update the measurement oracles on the clipped gradient — the
+        // clip factor rides into the variance sweep as a scale, so no
+        // clipped copy of the gradient is ever materialized.
+        let h_t = clipped_norm * clipped_norm;
+        self.curvature.observe(h_t);
+        let var_sum = sweep(f64::from(grad_scale) * f64::from(internal_scale));
+        self.distance.observe(clipped_norm);
+
+        // 3. Solve SingleStep and smooth the result.
+        let sol = single_step(
+            var_sum,
+            self.distance.distance(),
+            self.curvature.h_min(),
+            self.curvature.h_max(),
+        );
+        self.mu_ema.update(sol.mu);
+        self.lr_ema.update(sol.lr);
+        self.step_count += 1;
+
+        // The apply phase re-scales the raw gradient by the clip factor
+        // (the enclosing middleware folds `grad_scale` in on its own), so
+        // shards stay self-contained.
+        Hyper {
+            lr: self.effective_lr() as f32,
+            momentum: self.momentum() as f32,
+            grad_scale: internal_scale,
+        }
+    }
+
+    fn clip_threshold(&self) -> f32 {
+        match self.cfg.clip {
+            ClipMode::None => f32::INFINITY,
+            ClipMode::Manual(t) => t,
+            ClipMode::Adaptive => {
+                if self.curvature.is_initialized() {
+                    // h is a squared gradient norm, so sqrt(h_max) bounds
+                    // the gradient norm itself.
+                    self.curvature.h_max().sqrt() as f32
+                } else {
+                    f32::INFINITY
+                }
+            }
+        }
+    }
+
+    fn momentum(&self) -> f64 {
+        match self.cfg.momentum_override {
+            Some(m) => m,
+            None if self.mu_ema.is_initialized() => self.mu_ema.value(),
+            None => 0.0,
+        }
+    }
+
+    fn tuned_lr(&self) -> f64 {
+        if self.lr_ema.is_initialized() {
+            self.lr_ema.value()
+        } else {
+            0.0
+        }
+    }
+
+    fn effective_lr(&self) -> f64 {
+        let lr = self.tuned_lr() * self.cfg.lr_factor;
+        if self.cfg.slow_start {
+            let warm = self.step_count as f64 / (10.0 * self.cfg.window as f64);
+            lr.min(lr * warm)
+        } else {
+            lr
+        }
+    }
+}
+
 /// The YellowFin optimizer (Algorithm 1).
 ///
 /// Measures curvature range, gradient variance and distance-to-optimum
@@ -67,13 +218,13 @@ impl Default for YellowFinConfig {
 /// sharded two-phase [`Optimizer`] API. The measure phase is a partial
 /// reduction: the default `observe_shard` contributes per-block Σg² sums
 /// for its gradient slice, and `combine` folds them with a fixed-order tree into
-/// the global norm, feeds the three oracles (the gradient-variance sweep
-/// is itself a fused, parallel, clip-scaled kernel — no gradient copy is
-/// made anywhere), runs the `SingleStep` solve, and folds the clip factor
-/// into [`Hyper::grad_scale`]. `step_shard` is then the generic per-shard
-/// momentum update, so both phases parallelize and shard like any
-/// baseline optimizer while the measured statistics stay bitwise
-/// identical for every shard count.
+/// the global norm and hands it to the [`TunerCore`], whose callback is
+/// the fused, parallel, clip-scaled [`GradVariance`] sweep (no gradient
+/// copy is made anywhere). The core runs the `SingleStep` solve and
+/// folds the clip factor into [`Hyper::grad_scale`]. `step_shard` is
+/// then the generic per-shard momentum update, so both phases
+/// parallelize and shard like any baseline optimizer while the measured
+/// statistics stay bitwise identical for every shard count.
 ///
 /// # Example
 ///
@@ -94,16 +245,10 @@ impl Default for YellowFinConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct YellowFin {
-    pub(crate) cfg: YellowFinConfig,
-    pub(crate) curvature: CurvatureRange,
+    pub(crate) core: TunerCore,
     pub(crate) variance: GradVariance,
-    pub(crate) distance: DistanceToOpt,
-    pub(crate) mu_ema: Ema,
-    pub(crate) lr_ema: Ema,
-    pub(crate) step_count: u64,
     pub(crate) velocity: ShardedState,
     pub(crate) dim: Option<usize>,
-    pub(crate) last_norm: Option<f64>,
 }
 
 impl Default for YellowFin {
@@ -115,91 +260,53 @@ impl Default for YellowFin {
 impl YellowFin {
     /// Creates a tuner from a configuration.
     pub fn new(cfg: YellowFinConfig) -> Self {
-        let limit_growth = cfg.clip == ClipMode::Adaptive;
         YellowFin {
-            curvature: CurvatureRange::new(cfg.window, cfg.beta, limit_growth),
             variance: GradVariance::new(cfg.beta),
-            distance: DistanceToOpt::new(cfg.beta),
-            mu_ema: Ema::new(cfg.beta),
-            lr_ema: Ema::new(cfg.beta),
-            step_count: 0,
+            core: TunerCore::new(cfg),
             velocity: ShardedState::new(1),
             dim: None,
-            last_norm: None,
-            cfg,
         }
     }
 
     /// The momentum currently applied to updates.
     pub fn momentum(&self) -> f64 {
-        match self.cfg.momentum_override {
-            Some(m) => m,
-            None if self.mu_ema.is_initialized() => self.mu_ema.value(),
-            None => 0.0,
-        }
+        self.core.momentum()
     }
 
     /// The smoothed auto-tuned learning rate (before slow start and
     /// `lr_factor`).
     pub fn tuned_lr(&self) -> f64 {
-        if self.lr_ema.is_initialized() {
-            self.lr_ema.value()
-        } else {
-            0.0
-        }
+        self.core.tuned_lr()
     }
 
     /// The learning rate that the *next* update would use (slow start and
     /// `lr_factor` included).
     pub fn effective_lr(&self) -> f64 {
-        let lr = self.tuned_lr() * self.cfg.lr_factor;
-        if self.cfg.slow_start {
-            let warm = self.step_count as f64 / (10.0 * self.cfg.window as f64);
-            lr.min(lr * warm)
-        } else {
-            lr
-        }
+        self.core.effective_lr()
     }
 
     /// Latest measurement snapshot `(h_min, h_max, C, D)`, if warmed up.
     pub fn measurements(&self) -> Option<(f64, f64, f64, f64)> {
-        if !self.curvature.is_initialized() {
+        let core = &self.core;
+        if !core.curvature.is_initialized() {
             return None;
         }
         Some((
-            self.curvature.h_min(),
-            self.curvature.h_max(),
+            core.curvature.h_min(),
+            core.curvature.h_max(),
             self.variance.variance(),
-            self.distance.distance(),
+            core.distance.distance(),
         ))
     }
 
     /// Number of steps taken.
     pub fn steps(&self) -> u64 {
-        self.step_count
+        self.core.step_count
     }
 
     /// The gradient norm observed at the last step, before clipping.
     pub fn last_grad_norm(&self) -> Option<f64> {
-        self.last_norm
-    }
-}
-
-impl YellowFin {
-    fn clip_threshold(&self) -> f32 {
-        match self.cfg.clip {
-            ClipMode::None => f32::INFINITY,
-            ClipMode::Manual(t) => t,
-            ClipMode::Adaptive => {
-                if self.curvature.is_initialized() {
-                    // h is a squared gradient norm, so sqrt(h_max) bounds
-                    // the gradient norm itself.
-                    self.curvature.h_max().sqrt() as f32
-                } else {
-                    f32::INFINITY
-                }
-            }
-        }
+        self.core.last_norm
     }
 }
 
@@ -215,47 +322,16 @@ impl Optimizer for YellowFin {
         assert_eq!(params.len(), grads.len(), "yellowfin: length mismatch");
         assert_eq!(dim, params.len(), "yellowfin: parameter count changed");
 
-        // 1. Global norm from the per-shard partial reductions. The norm
-        // the tuner sees includes the scale applied by enclosing
-        // middleware.
-        let raw_sumsq = StatsPartial::merge_sums(&partials, grads.len());
-        let norm_before = (f64::from(grad_scale) * raw_sumsq.sqrt()) as f32;
-        let threshold = self.clip_threshold();
-        self.last_norm = Some(f64::from(norm_before));
-        let internal_scale = clip_scale(norm_before, threshold);
-        let clipped_norm = f64::from(norm_before).min(f64::from(threshold));
-
-        // 2. Update the measurement oracles on the clipped gradient — the
-        // clip factor rides into the fused variance sweep as a scale, so
-        // no clipped copy of the gradient is ever materialized. The sweep
-        // parallelizes over as many chunks as the measure fan-out used;
-        // its result is thread-count invariant.
-        let h_t = clipped_norm * clipped_norm;
-        self.curvature.observe(h_t);
-        let total_scale = f64::from(grad_scale) * f64::from(internal_scale);
-        self.variance
-            .observe_scaled(grads, total_scale, partials.len().max(1));
-        self.distance.observe(clipped_norm);
-
-        // 3. Solve SingleStep and smooth the result.
-        let sol = single_step(
-            self.variance.variance(),
-            self.distance.distance(),
-            self.curvature.h_min(),
-            self.curvature.h_max(),
-        );
-        self.mu_ema.update(sol.mu);
-        self.lr_ema.update(sol.lr);
-        self.step_count += 1;
-
-        // The apply phase re-scales the raw gradient by the clip factor
-        // (the enclosing middleware folds `grad_scale` in on its own), so
-        // shards stay self-contained.
-        Hyper {
-            lr: self.effective_lr() as f32,
-            momentum: self.momentum() as f32,
-            grad_scale: internal_scale,
-        }
+        // The global norm from the per-shard partial reductions; the
+        // variance sweep parallelizes over as many chunks as the measure
+        // fan-out used, and its result is thread-count invariant.
+        let sumsq = StatsPartial::merge_sums(&partials, grads.len());
+        let threads = partials.len().max(1);
+        let variance = &mut self.variance;
+        self.core.tune(sumsq, grad_scale, |scale| {
+            variance.observe_scaled(grads, scale, threads);
+            variance.variance()
+        })
     }
 
     fn needs_observe_partials(&self) -> bool {
@@ -290,7 +366,7 @@ impl Optimizer for YellowFin {
         // External schedules scale the auto-tuned rate via the factor.
         let tuned = self.tuned_lr();
         if tuned > 0.0 {
-            self.cfg.lr_factor = f64::from(lr) / tuned;
+            self.core.cfg.lr_factor = f64::from(lr) / tuned;
         }
     }
 
@@ -374,7 +450,7 @@ mod tests {
         let mut x = vec![1.0f32];
         opt.step(&mut x, &[1.0]);
         // After 1 step with window 20: warm factor is 1/200.
-        let full = opt.tuned_lr() * opt.cfg.lr_factor;
+        let full = opt.tuned_lr() * opt.core.cfg.lr_factor;
         let eff = opt.effective_lr();
         assert!(eff <= full / 100.0, "eff {eff} vs full {full}");
     }

@@ -1,25 +1,39 @@
 //! Training against a remote tuner: the `yf-serve` client library.
 //!
-//! [`RemoteTuner`] splits the optimizer across the network the way the
-//! serve protocol intends: the *measure* phase (gradient statistics,
-//! YellowFin's combine, the authority clamp, the quality filter) runs
-//! inside the server's session, while the *apply* phase stays local — a
+//! [`RemoteTuner`] splits YellowFin across the network along its scalar
+//! seam. The tuning decision reads the gradient only through `Σg²` and
+//! the variance total `C`, so the trainer keeps the vector half — the
+//! per-coordinate gradient moments ([`GradVariance`]) and the apply
+//! velocity — and streams four scalars per step, `(step, loss, Σg², C)`,
+//! as one `measure_stats` frame. The server's session runs the scalar
+//! half ([`yellowfin::TunerCore`]), the quality gate and the authority
+//! clamp, and seals O(window) state per step. The apply phase is a
 //! plain Polyak [`MomentumSgd`] whose `step_shard` applies whatever
-//! [`Hyper`] came back on the wire. Since YellowFin's own apply phase is
+//! [`Hyper`] came back on the wire; since YellowFin's own apply phase is
 //! the identical `momentum_step` kernel, a trainer driving a
 //! [`RemoteTuner`] takes parameter steps bitwise identical to one
-//! running the tuner in process — the tuner merely lives elsewhere.
+//! running the tuner in process. That replay is why only `yellowfin`
+//! specs are accepted.
+//!
+//! Each step the tuner takes `Σg²` from the measure phase's partial
+//! reductions, lets its shadow session's gate judge the measurement,
+//! and only on admission sweeps the gradient into its moments — once —
+//! with the clip scale the shadow's core reports. The resulting stats go
+//! on the wire and into the replay buffer.
 //!
 //! # Surviving the network
 //!
 //! The tuner assumes the network will fail and is built to keep the
 //! trajectory bit-exact anyway:
 //!
-//! - **Shadow tuner.** Every measurement also feeds a local
-//!   [`Session`] built from the same spec. Sessions are deterministic
-//!   pure functions of their measurement stream, so the shadow's
-//!   verdicts are bitwise identical to the server's — it is a hot
-//!   spare, not an approximation.
+//! - **Shadow session.** Every measurement also feeds a local,
+//!   stats-fed [`Session`] built from the same spec. Sessions are
+//!   deterministic pure functions of their measurement stream, so the
+//!   shadow's verdicts are bitwise identical to the server's — it is a
+//!   hot spare, not an approximation. It holds O(window) state, so it
+//!   is always present. If the server's verdict ever differs from the
+//!   shadow's, the shadow and the local moments are the consistent
+//!   pair: the tuner abandons the server and the shadow serves.
 //! - **Replay buffer + reconnect.** Measurements stay buffered until a
 //!   server reply acknowledges them. On any transport failure the tuner
 //!   reconnects (deadlines from [`ClientConfig`], the deterministic
@@ -40,11 +54,15 @@
 //!   buffer would exceed [`RemoteTunerConfig::resync_limit`], the
 //!   server is abandoned and the shadow serves for good.
 //!
-//! A session that was *resumed* mid-stream (opened at a step > 0 by a
-//! fresh process) has no shadow — the local session never saw the
-//! earlier measurements — so degradation is unavailable there and an
-//! unreachable server panics after the budget, as the pre-hardening
-//! client did.
+//! # Resuming mid-stream
+//!
+//! [`Optimizer::checkpoint_state`] carries the moments, the shadow's
+//! scalar state, the apply velocity and the step, so
+//! [`crate::trainer::train_resumable`] checkpoints a served trainer like
+//! any other. A tuner opened on a session already past step 0 has no
+//! moments to measure with: restore the trainer's checkpoint into it
+//! ([`Optimizer::restore_checkpoint`]) before its first step, or that
+//! step panics naming the fix.
 //!
 //! Rejected measurements (the server's quality filter) come back as a
 //! zero-learning-rate [`Hyper`] until the first accepted frame, or the
@@ -54,11 +72,14 @@
 use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
+use yellowfin::measurements::GradVariance;
+use yf_optim::checkpoint::OptStateError;
 use yf_optim::{Hyper, MomentumSgd, Optimizer, ParamShard, StatsPartial};
+use yf_serve::registry::yellowfin_config;
 use yf_serve::{
-    Backoff, Client, ClientConfig, ClientError, MeasureReply, OpenSpec, Outcome, Session,
+    snapshot, Backoff, Client, ClientConfig, ClientError, MeasureReply, OpenSpec, Outcome, Session,
 };
-use yf_tensor::env;
+use yf_tensor::{env, reduce};
 
 /// Robustness policy for a [`RemoteTuner`].
 /// [`RemoteTunerConfig::from_env`] layers the `YF_SERVE_CLIENT_*` knobs
@@ -123,11 +144,13 @@ impl RemoteTunerConfig {
     }
 }
 
-/// One not-yet-acknowledged measurement, kept for reconnect replay.
+/// One not-yet-acknowledged measurement, kept for reconnect replay: the
+/// payload of its `measure_stats` frame.
 struct Measurement {
     step: u64,
     loss: f32,
-    grads: Vec<f32>,
+    sumsq: f64,
+    var_sum: f64,
 }
 
 /// The connection state machine.
@@ -152,18 +175,20 @@ enum ResyncError {
     Fatal(String),
 }
 
-/// An [`Optimizer`] whose measure phase runs in a `yf-serve` session,
-/// hardened against network failure. See the module docs for the full
-/// robustness contract.
+/// An [`Optimizer`] whose scalar measure phase runs in a `yf-serve`
+/// session, hardened against network failure. See the module docs for
+/// the full robustness contract.
 pub struct RemoteTuner {
     addrs: Vec<SocketAddr>,
     spec: OpenSpec,
     cfg: RemoteTunerConfig,
     link: Link,
-    /// The local hot spare: a deterministic twin of the server-side
-    /// session. `None` when the session was resumed mid-stream (the
-    /// local twin never saw the history) or after a divergence warning.
-    shadow: Option<Session>,
+    /// The local hot spare: a stats-fed deterministic twin of the
+    /// server-side session.
+    shadow: Session,
+    /// YellowFin's vector half: the gradient moments, swept once per
+    /// admitted step.
+    moments: GradVariance,
     /// Measurements sent (or owed) to the server but not yet
     /// acknowledged by a reply. Length 1 in the live steady state; grows
     /// while degraded; drained by a resync.
@@ -178,6 +203,13 @@ pub struct RemoteTuner {
     degraded_steps: u64,
 }
 
+/// The served values before the first accepted measurement: no update.
+const NO_UPDATE: Hyper = Hyper {
+    lr: 0.0,
+    momentum: 0.0,
+    grad_scale: 1.0,
+};
+
 impl RemoteTuner {
     /// Connects and opens (or resumes) the session described by `spec`,
     /// with the robustness policy from the environment
@@ -185,7 +217,7 @@ impl RemoteTuner {
     ///
     /// # Errors
     ///
-    /// Transport failures, or the server's rejection reason.
+    /// As for [`RemoteTuner::connect_with`].
     pub fn connect(addr: impl ToSocketAddrs, spec: OpenSpec) -> Result<RemoteTuner, ClientError> {
         RemoteTuner::connect_with(addr, spec, RemoteTunerConfig::from_env())
     }
@@ -194,24 +226,28 @@ impl RemoteTuner {
     ///
     /// # Errors
     ///
-    /// Transport failures, or the server's rejection reason.
+    /// [`ClientError::Unsupported`] for a spec naming an optimizer other
+    /// than `yellowfin` (only YellowFin's apply step is the momentum step
+    /// this tuner replays); transport failures, or the server's
+    /// rejection reason.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         spec: OpenSpec,
         cfg: RemoteTunerConfig,
     ) -> Result<RemoteTuner, ClientError> {
+        if spec.optimizer != "yellowfin" {
+            return Err(ClientError::Unsupported(format!(
+                "a remote tuner serves yellowfin only, not {:?}",
+                spec.optimizer
+            )));
+        }
+        let shadow = Session::new(spec.clone()).map_err(ClientError::Server)?;
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let mut client = Client::connect_with(&addrs[..], &cfg.client)?;
         let step = client.open(spec.clone())?;
-        // The shadow can only mirror a stream it has seen from the
-        // start; a mid-stream resume leaves degradation unavailable.
-        let shadow = if step == 0 {
-            Some(Session::new(spec.clone()).map_err(ClientError::Server)?)
-        } else {
-            None
-        };
         Ok(RemoteTuner {
             addrs,
+            moments: GradVariance::new(yellowfin_config(spec.value).beta),
             spec,
             cfg,
             link: Link::Live(client),
@@ -220,11 +256,7 @@ impl RemoteTuner {
             step,
             loss: 0.0,
             apply: MomentumSgd::new(0.0, 0.0),
-            last: Hyper {
-                lr: 0.0,
-                momentum: 0.0,
-                grad_scale: 1.0,
-            },
+            last: NO_UPDATE,
             degraded_now: false,
             degraded_steps: 0,
         })
@@ -282,64 +314,60 @@ impl RemoteTuner {
         }
     }
 
+    /// This step's verdict: the server's when it answers and agrees with
+    /// the shadow, the shadow's (flagged degraded) otherwise.
+    fn tune(&mut self, step: u64, shadow: Outcome) -> Outcome {
+        match self.server_verdict(step) {
+            Some(served) if outcomes_match(&served, &shadow) => {
+                self.degraded_now = false;
+                served
+            }
+            Some(served) => {
+                self.abandon(&format!(
+                    "the server's verdict {served:?} diverged from the shadow's {shadow:?}"
+                ));
+                self.degraded_outcome(shadow)
+            }
+            None => self.degraded_outcome(shadow),
+        }
+    }
+
     /// The server's verdict for the current step, through whatever the
     /// link state demands: a live round-trip, a blocking reconnect loop
-    /// on a fresh outage, a scheduled probe while degraded, or the
-    /// shadow.
-    fn tune(&mut self, step: u64, shadow_out: Option<Outcome>) -> Outcome {
-        // Live fast path: one round-trip for the already-buffered
-        // current measurement.
-        let live_result = match &mut self.link {
+    /// on a fresh outage, or a scheduled probe while degraded. `None`
+    /// when the shadow must serve the step.
+    fn server_verdict(&mut self, step: u64) -> Option<Outcome> {
+        let probe_gap = match &mut self.link {
             Link::Live(client) => {
+                // One round-trip for the already-buffered current
+                // measurement.
                 let m = self
                     .pending
                     .back()
                     .expect("live tune always has the current measurement buffered");
-                Some(client.measure(&self.spec.session, m.step, m.loss, &m.grads))
-            }
-            _ => None,
-        };
-        match live_result {
-            Some(Ok(reply)) => {
-                self.pending.clear();
-                self.degraded_now = false;
-                let out = reply_to_outcome(reply);
-                self.reconcile_shadow(&out, shadow_out.as_ref());
-                return out;
-            }
-            Some(Err(e)) => {
-                eprintln!(
-                    "remote tuner ({}): step {step}: {e}; reconnecting",
-                    self.spec.session
-                );
-                return self.fresh_outage(step, shadow_out);
-            }
-            None => {}
-        }
-        // Degraded paths: the shadow serves, with scheduled reconnect
-        // probes while Down.
-        let probe_gap = match &self.link {
-            Link::Abandoned => return self.degraded_outcome(shadow_out),
-            Link::Down {
-                probe_at,
-                probe_gap,
-            } => {
-                if step < *probe_at {
-                    return self.degraded_outcome(shadow_out);
+                match client.measure_stats(&self.spec.session, m.step, m.loss, m.sumsq, m.var_sum) {
+                    Ok(reply) => {
+                        self.pending.clear();
+                        return Some(reply_to_outcome(reply));
+                    }
+                    Err(e) => {
+                        eprintln!(
+                            "remote tuner ({}): step {step}: {e}; reconnecting",
+                            self.spec.session
+                        );
+                        return self.fresh_outage(step);
+                    }
                 }
-                *probe_gap
             }
-            Link::Live(_) => unreachable!("live path handled above"),
+            Link::Abandoned => return None,
+            Link::Down { probe_at, .. } if step < *probe_at => return None,
+            Link::Down { probe_gap, .. } => *probe_gap,
         };
         match self.try_resync() {
-            Ok(out) => {
-                self.degraded_now = false;
-                self.reconcile_shadow(&out, shadow_out.as_ref());
-                out
-            }
+            Ok(out) => Some(out),
             Err(ResyncError::Fatal(reason)) => {
                 self.abandon(&reason);
-                self.degraded_outcome(shadow_out)
+                None
             }
             Err(ResyncError::Transient) => {
                 let gap = probe_gap.saturating_mul(2).min(self.cfg.probe_cap.max(1));
@@ -347,26 +375,22 @@ impl RemoteTuner {
                     probe_at: step + gap,
                     probe_gap: gap,
                 };
-                self.degraded_outcome(shadow_out)
+                None
             }
         }
     }
 
     /// A live connection just failed: retry with backoff until the
     /// degradation budget runs out, then hand over to the shadow.
-    fn fresh_outage(&mut self, step: u64, shadow_out: Option<Outcome>) -> Outcome {
+    fn fresh_outage(&mut self, step: u64) -> Option<Outcome> {
         let budget = Instant::now() + self.cfg.degrade_after;
         let mut attempt = 0u32;
         loop {
             match self.try_resync() {
-                Ok(out) => {
-                    self.degraded_now = false;
-                    self.reconcile_shadow(&out, shadow_out.as_ref());
-                    return out;
-                }
+                Ok(out) => return Some(out),
                 Err(ResyncError::Fatal(reason)) => {
                     self.abandon(&reason);
-                    return self.degraded_outcome(shadow_out);
+                    return None;
                 }
                 Err(ResyncError::Transient) => {}
             }
@@ -377,13 +401,6 @@ impl RemoteTuner {
             }
             std::thread::sleep(delay);
         }
-        if self.shadow.is_none() {
-            panic!(
-                "remote tuner ({}): server unreachable past the degradation budget \
-                 and no shadow tuner is available (session was resumed mid-stream)",
-                self.spec.session
-            );
-        }
         eprintln!(
             "remote tuner ({}): server unreachable for {:?}; degrading to the shadow tuner",
             self.spec.session, self.cfg.degrade_after
@@ -392,7 +409,7 @@ impl RemoteTuner {
             probe_at: step + 1,
             probe_gap: 1,
         };
-        self.degraded_outcome(shadow_out)
+        None
     }
 
     /// One reconnect attempt: dial, re-open the session by name, and
@@ -439,7 +456,7 @@ impl RemoteTuner {
         for m in &self.pending {
             reply = Some(
                 client
-                    .measure(&self.spec.session, m.step, m.loss, &m.grads)
+                    .measure_stats(&self.spec.session, m.step, m.loss, m.sumsq, m.var_sum)
                     .map_err(|_| ResyncError::Transient)?,
             );
         }
@@ -451,12 +468,6 @@ impl RemoteTuner {
 
     /// Permanently gives up on the server; the shadow serves from here.
     fn abandon(&mut self, reason: &str) {
-        if self.shadow.is_none() {
-            panic!(
-                "remote tuner ({}): {reason}; no shadow tuner available",
-                self.spec.session
-            );
-        }
         eprintln!(
             "remote tuner ({}): {reason}; abandoning the server, the shadow tuner takes over",
             self.spec.session
@@ -465,35 +476,11 @@ impl RemoteTuner {
         self.pending.clear();
     }
 
-    /// Serves the shadow's verdict for a step the server never saw.
-    fn degraded_outcome(&mut self, shadow_out: Option<Outcome>) -> Outcome {
-        let Some(out) = shadow_out else {
-            panic!(
-                "remote tuner ({}): degraded with no shadow tuner \
-                 (session was resumed mid-stream)",
-                self.spec.session
-            );
-        };
+    /// Serves the shadow's verdict for a step the server did not.
+    fn degraded_outcome(&mut self, shadow: Outcome) -> Outcome {
         self.degraded_now = true;
         self.degraded_steps += 1;
-        out
-    }
-
-    /// Cross-checks the server's verdict against the shadow's. They are
-    /// bitwise identical by the session determinism contract; on a
-    /// divergence (a bug, or a server driven by someone else) the
-    /// shadow is discarded — serving it later would fork the
-    /// trajectory.
-    fn reconcile_shadow(&mut self, server: &Outcome, shadow: Option<&Outcome>) {
-        let Some(shadow) = shadow else { return };
-        if !outcomes_match(server, shadow) {
-            eprintln!(
-                "remote tuner ({}): shadow tuner diverged from the server \
-                 (server {server:?}, shadow {shadow:?}); disabling degradation",
-                self.spec.session
-            );
-            self.shadow = None;
-        }
+        shadow
     }
 }
 
@@ -528,40 +515,68 @@ fn outcomes_match(a: &Outcome, b: &Outcome) -> bool {
     }
 }
 
+/// First line of a [`RemoteTuner`] checkpoint. The apply engine's
+/// checkpoint follows as a line-counted block, then the shadow's session
+/// snapshot carrying the trainer's moments as its moments block.
+const CHECKPOINT_HEADER: &str = "remote-tuner v1";
+
 impl Optimizer for RemoteTuner {
-    /// Streams the gradient to the server and returns the served
-    /// (authority-clamped) hyperparameters; on an outage, reconnects
-    /// with backoff and replays, or degrades to the shadow tuner per
-    /// the module contract.
+    /// Judges the measurement on the shadow, sweeps an admitted gradient
+    /// into the local moments, streams the stats to the server and
+    /// returns the served (authority-clamped) hyperparameters; on an
+    /// outage, reconnects with backoff and replays, or degrades to the
+    /// shadow per the module contract.
     ///
     /// # Panics
     ///
-    /// Only when there is no graceful path left: the server is
-    /// unreachable *and* no shadow is available (the session was
-    /// resumed mid-stream, or the shadow was disabled after a
-    /// divergence).
+    /// When the gradient's length is not the spec's `dim`, or when the
+    /// tuner was opened on a session past step 0 and no checkpoint was
+    /// restored into it: it has no moments to measure with.
     fn combine(
         &mut self,
         _params: &[f32],
         grads: &[f32],
-        _partials: Vec<StatsPartial>,
+        partials: Vec<StatsPartial>,
         grad_scale: f32,
     ) -> Hyper {
-        // The server measures the gradient as sent, so an enclosing
-        // middleware's scale is applied to the copy on the wire.
+        assert_eq!(
+            grads.len(),
+            self.spec.dim,
+            "remote tuner ({}): the session was opened for {} gradient elements",
+            self.spec.session,
+            self.spec.dim
+        );
+        let step = self.step;
+        assert!(
+            self.shadow.step() == step,
+            "remote tuner ({}): the session is at step {step} but this tuner holds no \
+             gradient moments for it; restore the trainer's checkpoint with \
+             restore_checkpoint before the first step",
+            self.spec.session
+        );
+        // Sessions tune with no middleware scale, so an enclosing
+        // middleware's scale is applied to a copy of the gradient before
+        // it is measured: the stats are those of the scaled gradient.
         let scaled: Vec<f32>;
-        let grads = if grad_scale == 1.0 {
-            grads
+        let (grads, sumsq) = if grad_scale == 1.0 {
+            (grads, StatsPartial::merge_sums(&partials, grads.len()))
         } else {
             scaled = grads.iter().map(|&g| grad_scale * g).collect();
-            &scaled
+            let sumsq = reduce::tree_reduce(&reduce::block_sumsq(&scaled));
+            (&scaled[..], sumsq)
         };
-        let step = self.step;
         let loss = self.loss;
-        let shadow_out = self.shadow.as_mut().map(|s| {
-            s.measure(step, loss, grads)
-                .unwrap_or_else(|e| panic!("remote tuner shadow: {e}"))
-        });
+        let threads = partials.len().max(1);
+        let moments = &mut self.moments;
+        let mut var_sum = 0.0;
+        let shadow_out = self
+            .shadow
+            .measure_swept(step, loss, sumsq, |scale| {
+                moments.observe_scaled(grads, scale, threads);
+                var_sum = moments.variance();
+                var_sum
+            })
+            .unwrap_or_else(|e| panic!("remote tuner shadow: {e}"));
         if !matches!(self.link, Link::Abandoned) {
             if self.pending.len() >= self.cfg.resync_limit {
                 self.abandon(&format!(
@@ -572,7 +587,8 @@ impl Optimizer for RemoteTuner {
                 self.pending.push_back(Measurement {
                     step,
                     loss,
-                    grads: grads.to_vec(),
+                    sumsq,
+                    var_sum,
                 });
             }
         }
@@ -584,8 +600,66 @@ impl Optimizer for RemoteTuner {
         self.last
     }
 
+    fn needs_observe_partials(&self) -> bool {
+        true
+    }
+
     fn step_shard(&self, shard: ParamShard, params: &mut [f32], grads: &[f32], hyper: Hyper) {
         self.apply.step_shard(shard, params, grads, hyper);
+    }
+
+    /// The moments, the shadow's scalar state, the apply velocity and
+    /// the step: everything a fresh tuner needs to continue this
+    /// trajectory against the same server session.
+    fn checkpoint_state(&self) -> Option<String> {
+        let apply = self.apply.checkpoint_state()?;
+        let mut snap = self.shadow.snapshot();
+        snap.moments = Some(self.moments.save_state());
+        Some(format!(
+            "{CHECKPOINT_HEADER}\napply_lines {}\n{apply}{}",
+            apply.lines().count(),
+            snapshot::encode(&snap)
+        ))
+    }
+
+    /// Restores a [`RemoteTuner`] checkpoint. The server session may be
+    /// at the checkpoint's step, or one past it (that step is answered
+    /// from the session's cached verdict); a server at any other step
+    /// cannot continue this trajectory, so the first step abandons it
+    /// and the shadow serves.
+    fn restore_checkpoint(&mut self, text: &str) -> Result<(), OptStateError> {
+        let bad = |what: &str| OptStateError::new(format!("remote tuner checkpoint: {what}"));
+        let mut lines = text.split_inclusive('\n');
+        if lines.next().map(str::trim_end) != Some(CHECKPOINT_HEADER) {
+            return Err(bad("bad header"));
+        }
+        let count: usize = lines
+            .next()
+            .and_then(|l| l.strip_prefix("apply_lines "))
+            .and_then(|n| n.trim_end().parse().ok())
+            .ok_or_else(|| bad("bad apply_lines"))?;
+        let apply_text: String = lines.by_ref().take(count).collect();
+        let snap_text: String = lines.collect();
+        let mut snap = snapshot::decode(&snap_text).map_err(|e| bad(&e.to_string()))?;
+        if !snap.spec.matches(&self.spec) {
+            return Err(bad("its session spec differs from this tuner's"));
+        }
+        snap.spec = self.spec.clone();
+        let moments = snap
+            .moments
+            .take()
+            .ok_or_else(|| bad("no gradient moments"))?;
+        let moments = GradVariance::restore_state(&moments).map_err(|e| bad(&e.to_string()))?;
+        let mut apply = MomentumSgd::new(0.0, 0.0);
+        apply.restore_checkpoint(&apply_text)?;
+        let (step, last) = (snap.step, snap.last.unwrap_or(NO_UPDATE));
+        self.shadow = Session::restore(snap).map_err(|e| bad(&e))?;
+        self.moments = moments;
+        self.apply = apply;
+        self.step = step;
+        self.last = last;
+        self.pending.clear();
+        Ok(())
     }
 
     fn learning_rate(&self) -> f32 {
@@ -655,6 +729,24 @@ mod tests {
         assert_eq!(remote.degraded_steps(), 0);
         assert!(!remote.degraded());
         let _ = remote.detach().unwrap();
+    }
+
+    #[test]
+    fn only_yellowfin_specs_are_served() {
+        // Refused before any connection is made: the port is never dialled.
+        let spec = OpenSpec {
+            session: "adam-remote".to_string(),
+            optimizer: "adam".to_string(),
+            value: 0.1,
+            dim: 4,
+            authority: Authority::default(),
+            filter: FilterSpec::default(),
+        };
+        match RemoteTuner::connect_with("127.0.0.1:9", spec, RemoteTunerConfig::default()) {
+            Err(ClientError::Unsupported(msg)) => assert!(msg.contains("adam"), "{msg}"),
+            Err(other) => panic!("expected Unsupported, got {other}"),
+            Ok(_) => panic!("an adam spec must be refused"),
+        }
     }
 
     #[test]

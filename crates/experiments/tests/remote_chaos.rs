@@ -1,5 +1,6 @@
 //! [`RemoteTuner`] under live network failure: the acceptance tests for
-//! the graceful-degradation contract.
+//! the graceful-degradation contract, and for resuming a served trainer
+//! from its checkpoint.
 //!
 //! Three regimes, one invariant. Whether the fault schedule eventually
 //! reconnects (chaos proxy), never reconnects (server drained away), or
@@ -7,11 +8,16 @@
 //! parameter trajectory a trainer walks must be bitwise identical to
 //! the same tuner run in process — the shadow session is an exact twin,
 //! not an approximation, so even steps served degraded keep the bits.
+//! A trainer that restarts from its checkpoint on a fresh tuner keeps
+//! the bits too.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::Duration;
+use yellowfin::YellowFin;
 use yf_experiments::serve_client::{RemoteTuner, RemoteTunerConfig};
+use yf_experiments::task::TrainTask;
+use yf_experiments::trainer::{train, train_resumable, RunConfig, TrainEvent};
 use yf_optim::Optimizer;
 use yf_serve::{
     Authority, Backoff, ChaosProxy, ChaosSpec, ClientConfig, FilterSpec, OpenSpec, ServeConfig,
@@ -263,4 +269,189 @@ fn a_restarted_server_is_rejoined_by_probe_and_replay_bitwise() {
     let _ = remote.detach().unwrap();
     drop(server2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A noisy quadratic whose minibatch is a pure function of the step.
+struct Quadratic;
+
+impl TrainTask for Quadratic {
+    fn dim(&self) -> usize {
+        DIM
+    }
+
+    fn init_params(&self) -> Vec<f32> {
+        vec![0.5; DIM]
+    }
+
+    fn loss_grad_at(&mut self, params: &[f32], step: u64) -> (f32, Vec<f32>) {
+        let mut rng = Pcg32::seed(1000 + step);
+        let curvature = |i: usize| 1.0 + 0.25 * i as f32;
+        let loss = params
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| 0.5 * curvature(i) * p * p)
+            .sum();
+        let grads = params
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| curvature(i) * p + 0.1 * (rng.uniform() - 0.5))
+            .collect();
+        (loss, grads)
+    }
+
+    fn validate(&mut self, _params: &[f32]) -> f64 {
+        0.0
+    }
+
+    fn metric_name(&self) -> &'static str {
+        "none"
+    }
+
+    fn lower_is_better(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn a_checkpointed_remote_trainer_resumes_on_a_fresh_tuner_bitwise() {
+    // A served trainer checkpoints at step 20, takes one more step and
+    // detaches. A fresh tuner restored from the checkpoint trains steps
+    // 20-40 — its first measurement is answered from the session's
+    // cached verdict — and the run equals uninterrupted in-process
+    // YellowFin bit for bit, with no step served degraded.
+    let dir = temp_dir("resume");
+    let server = Server::start(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let want = train(
+        &mut Quadratic,
+        &mut YellowFin::new(yf_serve::registry::yellowfin_config(1.0)),
+        &RunConfig::plain(40),
+    );
+
+    let mut first =
+        RemoteTuner::connect_with(server.local_addr(), spec("resume"), fast_cfg()).unwrap();
+    let mut checkpoint = None;
+    train_resumable(
+        &mut Quadratic,
+        &mut first,
+        &RunConfig::plain(21),
+        None,
+        20,
+        |event| {
+            if let TrainEvent::Checkpoint(c) = event {
+                checkpoint = Some(c.clone());
+            }
+        },
+    )
+    .unwrap();
+    assert_eq!(first.degraded_steps(), 0);
+    let _ = first.detach().unwrap();
+    let checkpoint = checkpoint.expect("a served trainer checkpoints");
+    assert_eq!(checkpoint.step, 20);
+
+    let mut second =
+        RemoteTuner::connect_with(server.local_addr(), spec("resume"), fast_cfg()).unwrap();
+    assert_eq!(second.next_step(), 21, "the session sealed step 20 too");
+    let got = train_resumable(
+        &mut Quadratic,
+        &mut second,
+        &RunConfig::plain(40),
+        Some(checkpoint),
+        0,
+        |_| {},
+    )
+    .unwrap();
+    assert_eq!(got.losses.len(), 40);
+    for (i, (a, b)) in got.final_params.iter().zip(&want.final_params).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "param {i}");
+    }
+    for (i, (a, b)) in got.losses.iter().zip(&want.losses).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "loss {i}");
+    }
+    assert_eq!(second.degraded_steps(), 0);
+    let _ = second.detach().unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unrestored_tuner_on_a_resumed_session_panics_naming_the_fix() {
+    // A tuner opened on a session past step 0 holds no gradient moments:
+    // its first step must fail loudly and say how to resume, not stream
+    // measurements the session could not reproduce.
+    let dir = temp_dir("unrestored");
+    let server = Server::start(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut rng = Pcg32::seed(74);
+    let mut params = vec![0.5f32; DIM];
+    let mut first =
+        RemoteTuner::connect_with(server.local_addr(), spec("unrestored"), fast_cfg()).unwrap();
+    for _ in 0..5 {
+        let grads: Vec<f32> = (0..DIM).map(|_| rng.uniform() - 0.5).collect();
+        first.step(&mut params, &grads);
+    }
+    let _ = first.detach().unwrap();
+
+    let mut second =
+        RemoteTuner::connect_with(server.local_addr(), spec("unrestored"), fast_cfg()).unwrap();
+    assert_eq!(second.next_step(), 5);
+    let grads: Vec<f32> = (0..DIM).map(|_| rng.uniform() - 0.5).collect();
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        second.step(&mut params, &grads);
+    }))
+    .expect_err("an unrestored mid-stream tuner must not step");
+    let message = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("restore_checkpoint"), "{message}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_server_that_diverges_from_the_shadow_is_abandoned_and_the_bits_hold() {
+    // Tuner `c` resumes tuner `a`'s checkpoint on a session that another
+    // trainer drove with other gradients, so the server's verdicts differ
+    // from the shadow's. The shadow and the local moments are the
+    // consistent pair: `c` abandons the server and keeps stepping exactly
+    // as `a` does against its own session.
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut a = RemoteTuner::connect_with(addr, spec("diverge-a"), fast_cfg()).unwrap();
+    let mut b = RemoteTuner::connect_with(addr, spec("diverge-b"), fast_cfg()).unwrap();
+    let (mut rng_a, mut rng_b) = (Pcg32::seed(75), Pcg32::seed(76));
+    let mut p_a = vec![0.5f32; DIM];
+    let mut p_b = p_a.clone();
+    for _ in 0..10 {
+        let g_a: Vec<f32> = (0..DIM).map(|_| rng_a.uniform() - 0.5).collect();
+        let g_b: Vec<f32> = (0..DIM).map(|_| rng_b.uniform() - 0.5).collect();
+        a.step(&mut p_a, &g_a);
+        b.step(&mut p_b, &g_b);
+    }
+    let checkpoint = a.checkpoint_state().expect("a served trainer checkpoints");
+    // `b` hangs up without closing, so its session stays hosted at step 10.
+    drop(b);
+
+    let mut c = RemoteTuner::connect_with(addr, spec("diverge-b"), fast_cfg()).unwrap();
+    assert_eq!(c.next_step(), 10);
+    c.restore_checkpoint(&checkpoint).unwrap();
+    let mut p_c = p_a.clone();
+    for step in 10..20 {
+        let grads: Vec<f32> = (0..DIM).map(|_| rng_a.uniform() - 0.5).collect();
+        a.step(&mut p_a, &grads);
+        c.step(&mut p_c, &grads);
+        for (i, (x, y)) in p_a.iter().zip(&p_c).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "step {step}, param {i}");
+        }
+    }
+    assert_eq!(a.degraded_steps(), 0);
+    assert_eq!(c.degraded_steps(), 10, "the diverged server serves no step");
+    assert!(c.detach().is_err(), "the server was abandoned");
 }

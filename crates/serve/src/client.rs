@@ -30,6 +30,10 @@
 //! [`Client::measure`] waits for its verdict before the next is sent
 //! (lock-step): its callers need the verdict to produce the next
 //! gradient.
+//!
+//! [`Client::measure_stats`] sends YellowFin's four scalars instead of
+//! the gradient, as one small JSON line in either dialect, and shares
+//! the same verdict loop.
 
 use crate::proto::{self, ClientFrame, OpenSpec, ProtoError, ServerFrame, WireDialect};
 use std::fmt;
@@ -53,6 +57,10 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered with an `error` frame.
     Server(String),
+    /// The request names something this client does not drive (a
+    /// remote tuner opened on an optimizer other than `yellowfin`); no
+    /// connection was made.
+    Unsupported(String),
 }
 
 impl fmt::Display for ClientError {
@@ -62,6 +70,7 @@ impl fmt::Display for ClientError {
             ClientError::Timeout(e) => write!(f, "serve client deadline: {e}"),
             ClientError::Protocol(m) => write!(f, "serve client protocol: {m}"),
             ClientError::Server(m) => write!(f, "serve server error: {m}"),
+            ClientError::Unsupported(m) => write!(f, "serve client unsupported: {m}"),
         }
     }
 }
@@ -352,6 +361,38 @@ impl Client {
                 grads: grads.to_vec(),
             })?;
         }
+        self.verdict(session, step)
+    }
+
+    /// Streams one `measure_stats` frame — the raw gradient's `sumsq`
+    /// and the variance total `var_sum` of the caller's own moments —
+    /// and blocks for its verdict exactly as [`Client::measure`] does.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Client::measure`]; the server also refuses stats frames
+    /// for baseline optimizers and for sessions fed gradients.
+    pub fn measure_stats(
+        &mut self,
+        session: &str,
+        step: u64,
+        loss: f32,
+        sumsq: f64,
+        var_sum: f64,
+    ) -> Result<MeasureReply, ClientError> {
+        self.send(&ClientFrame::MeasureStats {
+            session: session.to_string(),
+            step,
+            loss,
+            sumsq,
+            var_sum,
+        })?;
+        self.verdict(session, step)
+    }
+
+    /// Blocks for the verdict on `(session, step)`, skipping stale
+    /// replies to earlier steps.
+    fn verdict(&mut self, session: &str, step: u64) -> Result<MeasureReply, ClientError> {
         loop {
             let (s, t, reply) = match self.recv()? {
                 ServerFrame::Tuned {
@@ -435,8 +476,8 @@ impl Client {
         }
     }
 
-    /// Asks the server to drain (snapshot everything and shut down).
-    /// Returns the number of sessions snapshotted.
+    /// Asks the server to drain (unload everything and shut down).
+    /// Returns the number of sessions unloaded.
     ///
     /// # Errors
     ///

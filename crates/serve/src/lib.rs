@@ -5,12 +5,13 @@
 //! control frames (line-delimited, floats as hex bit patterns) plus an
 //! optional binary data plane ([`yf_wire::binary`] frames, negotiated
 //! per connection at `open`): open a session naming an optimizer and a
-//! safety envelope, stream `(step, loss, gradient)` measurements, and
-//! receive the tuned — and authority-clamped — `(lr, momentum,
-//! grad_scale)` for every accepted step. The trainer keeps the apply phase (its velocity state never
-//! leaves the process); the server owns the measure phase and runs the
-//! same `observe_shard`/`combine` pipeline an in-process tuner would,
-//! so the served stream is bitwise identical to local tuning.
+//! safety envelope, stream `(step, loss, gradient)` measurements — or,
+//! for YellowFin, the four scalars `(step, loss, Σg², C)` its tuning
+//! decision reads — and receive the tuned, authority-clamped `(lr,
+//! momentum, grad_scale)` for every accepted step. The trainer keeps
+//! the apply phase (its velocity state never leaves the process); the
+//! server runs the same measure pipeline an in-process tuner would, so
+//! the served stream is bitwise identical to local tuning.
 //!
 //! The pieces, bottom up:
 //!
@@ -24,7 +25,8 @@
 //!   seeded from the paper's Eq. 35 clipping threshold) screening every
 //!   measurement before it can touch the tuner's statistics.
 //! - [`session`]: one hosted session; deterministic, so replaying a
-//!   measurement stream reproduces the served stream bit-for-bit.
+//!   measurement stream reproduces the served stream bit-for-bit. A
+//!   yellowfin session fed stats frames holds O(window) state.
 //! - [`snapshot`]: sealed, atomically-replaced per-session state files.
 //! - [`server`]: the TCP front end — bounded compute permits, bounded
 //!   per-connection outbound queues with slow-client shedding, idle

@@ -8,16 +8,28 @@
 //! self-describing (`"type"` field, or the binary magic byte), so one
 //! connection freely interleaves traffic for many sessions.
 //!
-//! Client → server: `open`, `measure`, `close`, `ping`, `drain`.
-//! Server → client: `opened`, `hyper`, `rejected`, `closed`, `pong`,
-//! `draining`, `error`.
+//! Client → server: `open`, `measure`, `measure_stats`, `close`, `ping`,
+//! `drain`. Server → client: `opened`, `hyper`, `rejected`, `closed`,
+//! `pong`, `draining`, `error`.
+//!
+//! ## Two measurement frames
+//!
+//! - `measure` carries the full flat gradient; any hosted optimizer
+//!   takes it.
+//! - `measure_stats` carries the four scalars YellowFin's tuning
+//!   decision reads — `(step, loss, sumsq, var_sum)`, that is `Σg²` and
+//!   the variance total `C` of the client's own gradient moments — as
+//!   one JSON line of about 130 bytes whatever the model dimension. Only
+//!   yellowfin sessions take it, and a session takes one kind of
+//!   measurement frame for its whole life. It is a JSON line on either
+//!   dialect, answered by the same `hyper`/`rejected` frames.
 //!
 //! ## Dialects
 //!
 //! Control frames (everything except `measure`/`hyper`/`rejected`)
 //! always travel as JSON lines — they are rare, small, and worth
-//! keeping greppable. The *data plane* has two encodings, negotiated
-//! per connection at `open`:
+//! keeping greppable. The gradient *data plane* has two encodings,
+//! negotiated per connection at `open`:
 //!
 //! - **json** (default): the PR 8 line protocol, hex-bit floats.
 //! - **binary**: [`yf_wire::binary`] frames with raw little-endian f32
@@ -200,12 +212,22 @@ pub enum ClientFrame {
         loss: f32,
         grads: Vec<f32>,
     },
-    /// Detach and persist a session (snapshot survives for later
+    /// One measurement as YellowFin's scalar statistics: the raw
+    /// gradient's `Σg²` and the variance total `C` after the client's
+    /// own moment sweep for this step.
+    MeasureStats {
+        session: String,
+        step: u64,
+        loss: f32,
+        sumsq: f64,
+        var_sum: f64,
+    },
+    /// Detach a session (its sealed snapshot survives for a later
     /// re-open).
     Close { session: String },
     /// Heartbeat; keeps this connection's sessions from idle-reaping.
     Ping { token: u64 },
-    /// Stop accepting, snapshot every session, shut the server down.
+    /// Stop accepting, unload every session, shut the server down.
     Drain,
 }
 
@@ -242,7 +264,7 @@ pub enum ServerFrame {
     Closed { session: String },
     /// Heartbeat reply.
     Pong { token: u64 },
-    /// Drain acknowledged; `sessions` snapshots were written.
+    /// Drain acknowledged; `sessions` sessions were unloaded.
     Draining { sessions: u64 },
     /// A per-frame failure (bad spec, unknown session, step mismatch).
     /// The connection survives; the offending frame had no effect.
@@ -328,6 +350,20 @@ impl ClientFrame {
                 ("loss", Json::str(f32_hex(*loss))),
                 ("grads", Json::str(f32_row(grads))),
             ]),
+            ClientFrame::MeasureStats {
+                session,
+                step,
+                loss,
+                sumsq,
+                var_sum,
+            } => Json::obj(vec![
+                ("type", Json::str("measure_stats")),
+                ("session", Json::str(session)),
+                ("step", Json::u64(*step)),
+                ("loss", Json::str(f32_hex(*loss))),
+                ("sumsq", Json::str(f64_hex(*sumsq))),
+                ("var_sum", Json::str(f64_hex(*var_sum))),
+            ]),
             ClientFrame::Close { session } => Json::obj(vec![
                 ("type", Json::str("close")),
                 ("session", Json::str(session)),
@@ -377,6 +413,13 @@ impl ClientFrame {
                 step: v.u64_field("step")?,
                 loss: f32_unhex(v.str_field("loss")?)?,
                 grads: f32_unrow(v.str_field("grads")?)?,
+            }),
+            "measure_stats" => Ok(ClientFrame::MeasureStats {
+                session: v.str_field("session")?.to_string(),
+                step: v.u64_field("step")?,
+                loss: f32_unhex(v.str_field("loss")?)?,
+                sumsq: f64_unhex(v.str_field("sumsq")?)?,
+                var_sum: f64_unhex(v.str_field("var_sum")?)?,
             }),
             "close" => Ok(ClientFrame::Close {
                 session: v.str_field("session")?.to_string(),
@@ -673,6 +716,13 @@ mod tests {
                 loss: 0.5,
                 grads: vec![1.0, f32::NAN, -0.0],
             },
+            ClientFrame::MeasureStats {
+                session: "s-1".to_string(),
+                step: 8,
+                loss: f32::NAN,
+                sumsq: 1e300,
+                var_sum: -0.0,
+            },
             ClientFrame::Close {
                 session: "s-1".to_string(),
             },
@@ -902,6 +952,11 @@ mod tests {
         assert!(ClientFrame::from_line(r#"{"type":"measure","session":"s"}"#).is_err());
         assert!(ClientFrame::from_line(
             r#"{"type":"measure","session":"s","step":0,"loss":"zz","grads":""}"#
+        )
+        .is_err());
+        // f64 statistics are exactly 16 hex digits.
+        assert!(ClientFrame::from_line(
+            r#"{"type":"measure_stats","session":"s","step":0,"loss":"3f000000","sumsq":"3f000000","var_sum":"0000000000000000"}"#
         )
         .is_err());
         assert!(ServerFrame::from_line(r#"{"type":"hyper","session":"s","step":0}"#).is_err());

@@ -37,14 +37,20 @@ pub fn opt_builder(name: &str) -> Option<OptBuilder> {
         "adam" => |lr| Box::new(Adam::new(lr)),
         "adagrad" => |lr| Box::new(AdaGrad::new(lr)),
         "rmsprop" => |lr| Box::new(RmsProp::new(lr)),
-        "yellowfin" => |lr_factor| {
-            Box::new(YellowFin::new(YellowFinConfig {
-                lr_factor: f64::from(lr_factor),
-                ..YellowFinConfig::default()
-            }))
-        },
+        "yellowfin" => |lr_factor| Box::new(YellowFin::new(yellowfin_config(lr_factor))),
         _ => return None,
     })
+}
+
+/// The configuration behind the `"yellowfin"` entry: the paper's
+/// defaults with the grid value as the learning-rate factor. Sessions
+/// build their [`yellowfin::TunerCore`] from it, so served and swept
+/// tuners share one configuration.
+pub fn yellowfin_config(lr_factor: f32) -> YellowFinConfig {
+    YellowFinConfig {
+        lr_factor: f64::from(lr_factor),
+        ..YellowFinConfig::default()
+    }
 }
 
 /// Builds a session optimizer from its wire name and grid value: the

@@ -8,22 +8,26 @@
 //! sized for. Replies travel through a bounded per-connection outbound
 //! queue drained by a writer thread; a client that stops reading fills
 //! its queue and is shed (disconnected) rather than allowed to wedge a
-//! compute thread — its sessions detach with a final snapshot and
-//! resume on reconnect.
+//! compute thread — its sessions detach and resume on reconnect.
 //!
 //! Sessions outlive connections: a dropped or shed connection detaches
-//! its sessions (snapshotting each), a reconnecting client re-opens a
-//! session by name — taking it over (epoch fencing) even when the
-//! server has not yet noticed the old connection die, as in a silent
-//! partition — and replays its last unacknowledged measurement, which
-//! the session answers idempotently from its cached verdict instead of
-//! double-advancing. An idle detached session is
-//! eventually reaped by the background sweeper (snapshot first), and a
-//! `drain` frame — or [`Server::drain`] — snapshots everything and
-//! shuts the server down. With a snapshot directory, every processed
-//! measurement is sealed to disk before its reply is queued, so even
-//! SIGKILL loses nothing: the restarted server re-opens every session
-//! at its snapshot step and the replayed stream continues bit-exactly.
+//! its sessions, a reconnecting client re-opens a session by name —
+//! taking it over (epoch fencing) even when the server has not yet
+//! noticed the old connection die, as in a silent partition — and
+//! replays its last unacknowledged measurement, which the session
+//! answers idempotently from its cached verdict instead of
+//! double-advancing. An idle detached session is eventually unloaded by
+//! the background sweeper, and a `drain` frame — or [`Server::drain`] —
+//! unloads everything and shuts the server down.
+//!
+//! With a snapshot directory, every measurement that advances a session
+//! is sealed to disk before its reply is queued, so the disk always
+//! holds the last acknowledged state: detach, close, reaping and drain
+//! write nothing, and even SIGKILL loses nothing — the restarted server
+//! re-opens every session at its snapshot step and the replayed stream
+//! continues bit-exactly. A seal that fails is answered with an `error`
+//! frame, never an acknowledgment, and the session is unloaded, so the
+//! next `open` reloads the last sealed state and the client replays.
 
 use crate::proto::{self, ClientFrame, OpenSpec, ServerFrame, WireDialect};
 use crate::session::{Outcome, Session};
@@ -50,7 +54,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Where sealed session snapshots live; `None` disables durability
     /// (sessions die with the process). With a directory, every
-    /// processed measurement is sealed before its reply.
+    /// measurement that advances a session is sealed before its reply.
     pub snapshot_dir: Option<PathBuf>,
     /// Max concurrently hosted sessions.
     pub max_sessions: usize,
@@ -189,15 +193,21 @@ impl Shared {
             .map(|dir| dir.join(format!("{name}.session")))
     }
 
-    /// Seals a session's state to disk (atomic replace); failures are
-    /// reported but never take the session down.
-    fn write_snapshot(&self, entry: &Entry) {
-        let Some(path) = self.snapshot_path(&entry.session.spec().session) else {
-            return;
-        };
-        let text = snapshot::encode(&entry.session.snapshot());
-        if let Err(e) = fsio::write_sealed(&path, &text) {
-            eprintln!("yf-serve: snapshot {} failed: {e}", path.display());
+    /// Seals a session's state to disk (atomic replace); a no-op
+    /// without a snapshot directory.
+    fn write_snapshot(&self, session: &Session) -> io::Result<()> {
+        match self.snapshot_path(&session.spec().session) {
+            Some(path) => fsio::write_sealed(&path, &snapshot::encode(&session.snapshot())),
+            None => Ok(()),
+        }
+    }
+
+    /// Drops `entry` from the session map, unless the name now maps to
+    /// another entry.
+    fn unload(&self, name: &str, entry: &Arc<Mutex<Entry>>) {
+        let mut map = self.sessions.lock().expect("serve sessions lock");
+        if map.get(name).is_some_and(|e| Arc::ptr_eq(e, entry)) {
+            map.remove(name);
         }
     }
 
@@ -271,8 +281,9 @@ impl Server {
         self.addr
     }
 
-    /// Graceful drain: stop accepting, snapshot and unload every
-    /// session. Returns the number of sessions snapshotted.
+    /// Graceful drain: stop accepting, wait out in-flight measurements
+    /// and unload every session. Returns the number of sessions
+    /// unloaded.
     pub fn drain(&self) -> u64 {
         drain_all(&self.shared)
     }
@@ -329,27 +340,20 @@ fn reaper_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Sweeps detached sessions idle past the timeout: snapshot, then
-/// unload. Runs entirely under the map lock, with `try_lock` per entry
-/// (a contended entry is mid-measurement, hence not idle).
+/// Unloads detached sessions idle past the timeout; their state is
+/// sealed already. Runs entirely under the map lock, with `try_lock` per
+/// entry (a contended entry is mid-measurement, hence not idle).
 fn reap_idle(shared: &Shared) {
     let mut map = shared.sessions.lock().expect("serve sessions lock");
     let now = Instant::now();
-    let mut reap: Vec<String> = Vec::new();
-    for (name, entry) in map.iter() {
-        if let Ok(e) = entry.try_lock() {
-            if !e.attached && now.duration_since(e.last_active) > shared.cfg.idle_timeout {
-                shared.write_snapshot(&e);
-                reap.push(name.clone());
-            }
-        }
-    }
-    for name in reap {
-        map.remove(&name);
-    }
+    map.retain(|_, entry| match entry.try_lock() {
+        Ok(e) => e.attached || now.duration_since(e.last_active) <= shared.cfg.idle_timeout,
+        Err(_) => true,
+    });
 }
 
-/// Snapshots and unloads every session, stops the accept loop.
+/// Unloads every session once its in-flight measurement (if any) has
+/// finished, and stops the accept loop.
 fn drain_all(shared: &Shared) -> u64 {
     shared.draining.store(true, Ordering::SeqCst);
     // Wake the blocking accept loop so it observes the flag; the
@@ -359,13 +363,10 @@ fn drain_all(shared: &Shared) -> u64 {
         let mut map = shared.sessions.lock().expect("serve sessions lock");
         map.drain().map(|(_, v)| v).collect()
     };
-    let mut count = 0;
-    for entry in entries {
-        let e = entry.lock().expect("serve entry lock");
-        shared.write_snapshot(&e);
-        count += 1;
+    for entry in &entries {
+        drop(entry.lock().expect("serve entry lock"));
     }
-    count
+    entries.len() as u64
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
@@ -439,9 +440,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = writer.join();
 }
 
-/// Detaches (and snapshots) every session a closing connection still
-/// drives. Sessions another connection has taken over (epoch advanced)
-/// are left alone — they belong to their new driver.
+/// Detaches every session a closing connection still drives. Sessions
+/// another connection has taken over (epoch advanced) are left alone —
+/// they belong to that connection now.
 fn detach_owned(shared: &Shared, owned: &HashMap<String, u64>) {
     for (name, &epoch) in owned {
         let entry = {
@@ -455,7 +456,6 @@ fn detach_owned(shared: &Shared, owned: &HashMap<String, u64>) {
             }
             e.attached = false;
             e.last_active = Instant::now();
-            shared.write_snapshot(&e);
         }
     }
 }
@@ -502,7 +502,18 @@ fn process_frame(
             step,
             loss,
             grads,
-        } => process_measure(shared, owned, &session, step, loss, &grads),
+        } => process_measure(shared, owned, &session, step, |s| {
+            s.measure(step, loss, &grads)
+        }),
+        ClientFrame::MeasureStats {
+            session,
+            step,
+            loss,
+            sumsq,
+            var_sum,
+        } => process_measure(shared, owned, &session, step, |s| {
+            s.measure_stats(step, loss, sumsq, var_sum)
+        }),
         ClientFrame::Close { session } => process_close(shared, owned, &session),
         ClientFrame::Ping { token } => {
             // The heartbeat: keep this connection's sessions warm.
@@ -606,13 +617,14 @@ fn process_open(
     }
 }
 
+/// Runs one measurement frame (`measure` calls the session with it)
+/// under a compute permit, and seals the session before replying.
 fn process_measure(
     shared: &Shared,
     owned: &HashMap<String, u64>,
     session: &str,
     step: u64,
-    loss: f32,
-    grads: &[f32],
+    measure: impl FnOnce(&mut Session) -> Result<Outcome, String>,
 ) -> ServerFrame {
     let Some(&epoch) = owned.get(session) else {
         return error(Some(session), "session not open on this connection");
@@ -637,27 +649,41 @@ fn process_measure(
     if shared.draining.load(Ordering::SeqCst) {
         return error(Some(session), "server is draining");
     }
-    match e.session.measure(step, loss, grads) {
-        Err(msg) => error(Some(session), msg),
-        Ok(outcome) => {
-            e.last_active = Instant::now();
-            // Sealed before the reply is queued, so an acknowledged
-            // measurement survives SIGKILL.
-            shared.write_snapshot(&e);
-            match outcome {
-                Outcome::Tuned { hyper, clamped } => ServerFrame::Tuned {
-                    session: session.to_string(),
-                    step,
-                    hyper,
-                    clamped,
-                },
-                Outcome::Rejected { reason } => ServerFrame::Rejected {
-                    session: session.to_string(),
-                    step,
-                    reason,
-                },
-            }
+    let before = e.session.step();
+    let outcome = match measure(&mut e.session) {
+        Err(msg) => return error(Some(session), msg),
+        Ok(outcome) => outcome,
+    };
+    e.last_active = Instant::now();
+    // Sealed before the reply is queued, so an acknowledged measurement
+    // survives SIGKILL. An idempotent replay did not advance the
+    // session, and its state is on disk already.
+    if e.session.step() != before {
+        if let Err(err) = shared.write_snapshot(&e.session) {
+            // Memory is now ahead of the last sealed state: unload the
+            // session so the next open reloads that state and the
+            // client replays this step.
+            eprintln!("yf-serve: sealing session {session:?} failed: {err}; unloading it");
+            drop(e);
+            shared.unload(session, &entry);
+            return error(
+                Some(session),
+                format!("snapshot seal failed, session unloaded: {err}"),
+            );
         }
+    }
+    match outcome {
+        Outcome::Tuned { hyper, clamped } => ServerFrame::Tuned {
+            session: session.to_string(),
+            step,
+            hyper,
+            clamped,
+        },
+        Outcome::Rejected { reason } => ServerFrame::Rejected {
+            session: session.to_string(),
+            step,
+            reason,
+        },
     }
 }
 
@@ -675,9 +701,8 @@ fn process_close(shared: &Shared, owned: &mut HashMap<String, u64>, session: &st
                 session: session.to_string(),
             };
         }
-        // Final snapshot: a closed session can be re-opened later and
-        // resumes from here.
-        shared.write_snapshot(&e);
+        // Its last measurement is sealed already: a closed session can
+        // be re-opened later and resumes from there.
         drop(e);
         map.remove(session);
     }

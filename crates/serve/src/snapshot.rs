@@ -4,9 +4,36 @@
 //! [`yf_wire::fsio::write_sealed`], so a SIGKILL mid-write leaves either
 //! the previous snapshot or a `Torn` seal — never a half state). The
 //! payload here is the line-oriented `key value` format the fleet codec
-//! uses, with floats as [`yf_tensor::hex`] bit patterns and two embedded
-//! multi-line blocks: the quality-gate state and the optimizer
-//! checkpoint.
+//! uses, with floats as [`yf_tensor::hex`] bit patterns.
+//!
+//! ## Format v2
+//!
+//! The scalar fields (spec, step, last served values, cached verdict)
+//! are followed by three blocks:
+//!
+//! - `gate_lines N`: the quality-gate state, `N` lines;
+//! - `opt_lines N`: the tuner state — a yellowfin session's
+//!   [`yellowfin::TunerCore`] block, or a baseline optimizer's
+//!   checkpoint; `opt_lines -` for stateless optimizers;
+//! - `moments present` and the
+//!   [`yellowfin::measurements::GradVariance`] block to the end of the
+//!   payload, written only for a yellowfin session fed gradient frames;
+//!   `moments none` otherwise. The large block goes last and uncounted,
+//!   so encoding never scans it.
+//!
+//! A stats-fed session therefore seals O(window) bytes (about 2.2 KB)
+//! whatever its dimension, where a gradient-fed one also seals two
+//! dimension-long moment rows.
+//!
+//! ## Format v1
+//!
+//! [`decode`] still reads v1, the format before the split: the same
+//! scalar fields and gate block, then `opt_state present` and the
+//! optimizer checkpoint to the end of the payload (or `opt_state none`).
+//! A v1 yellowfin checkpoint is a whole [`yellowfin::YellowFin`] block,
+//! whose keys hold both halves, so it decodes as both the tuner block
+//! and the moments block: a v1 snapshot resumes as a gradient-fed
+//! session. [`encode`] writes only v2.
 
 use crate::authority::Authority;
 use crate::filter::FilterSpec;
@@ -16,7 +43,8 @@ use std::fmt;
 use yf_optim::Hyper;
 use yf_tensor::hex::{f32_row, f32_unrow, f64_hex, f64_unhex, HexError};
 
-const HEADER: &str = "yf-serve-session v1";
+const HEADER: &str = "yf-serve-session v2";
+const HEADER_V1: &str = "yf-serve-session v1";
 
 /// Error decoding a snapshot payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,11 +87,37 @@ pub struct SessionSnapshot {
     pub last_outcome: Option<Outcome>,
     /// Quality-gate state block.
     pub gate_state: String,
-    /// Optimizer checkpoint block (`None` for stateless optimizers).
+    /// Tuner state block: the [`yellowfin::TunerCore`] state of a
+    /// yellowfin session, a baseline optimizer's checkpoint, or `None`
+    /// for stateless optimizers.
     pub opt_state: Option<String>,
+    /// The [`yellowfin::measurements::GradVariance`] block of a
+    /// yellowfin session fed gradient frames; `None` for stats-fed and
+    /// not-yet-fed sessions and for baselines.
+    pub moments: Option<String>,
 }
 
-/// Serializes a snapshot bit-exactly.
+/// Appends `text`, newline-terminated.
+fn push_text(out: &mut String, text: &str) {
+    out.push_str(text);
+    if !text.ends_with('\n') {
+        out.push('\n');
+    }
+}
+
+/// Appends `key <line count>` and the block, or `key -` for `None`.
+fn push_counted(out: &mut String, key: &str, block: Option<&str>) {
+    out.push_str(key);
+    match block {
+        None => out.push_str(" -\n"),
+        Some(text) => {
+            out.push_str(&format!(" {}\n", text.lines().count()));
+            push_text(out, text);
+        }
+    }
+}
+
+/// Serializes a snapshot bit-exactly, in format v2.
 pub fn encode(snap: &SessionSnapshot) -> String {
     let mut out = String::new();
     out.push_str(HEADER);
@@ -111,20 +165,14 @@ pub fn encode(snap: &SessionSnapshot) -> String {
             out.push_str(&format!("outcome rejected {reason}\n"));
         }
     }
-    out.push_str(&format!("gate_lines {}\n", snap.gate_state.lines().count()));
-    out.push_str(&snap.gate_state);
-    if !snap.gate_state.ends_with('\n') {
-        out.push('\n');
-    }
-    match &snap.opt_state {
+    push_counted(&mut out, "gate_lines", Some(&snap.gate_state));
+    push_counted(&mut out, "opt_lines", snap.opt_state.as_deref());
+    match &snap.moments {
         Some(text) => {
-            out.push_str("opt_state present\n");
-            out.push_str(text);
-            if !text.ends_with('\n') {
-                out.push('\n');
-            }
+            out.push_str("moments present\n");
+            push_text(&mut out, text);
         }
-        None => out.push_str("opt_state none\n"),
+        None => out.push_str("moments none\n"),
     }
     out
 }
@@ -135,15 +183,20 @@ struct Fields<'a> {
 }
 
 impl<'a> Fields<'a> {
-    fn new(text: &'a str) -> Result<Fields<'a>, SnapshotError> {
+    /// Reads the header; returns the fields and the format version.
+    fn new(text: &'a str) -> Result<(Fields<'a>, u32), SnapshotError> {
         let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h == HEADER => Ok(Fields { lines }),
-            Some(h) => Err(SnapshotError::new(format!(
-                "expected header {HEADER:?}, found {h:?}"
-            ))),
-            None => Err(SnapshotError::new("empty payload")),
-        }
+        let version = match lines.next() {
+            Some(HEADER) => 2,
+            Some(HEADER_V1) => 1,
+            Some(h) => {
+                return Err(SnapshotError::new(format!(
+                    "expected header {HEADER:?} or {HEADER_V1:?}, found {h:?}"
+                )))
+            }
+            None => return Err(SnapshotError::new("empty payload")),
+        };
+        Ok((Fields { lines }, version))
     }
 
     fn field(&mut self, key: &str) -> Result<&'a str, SnapshotError> {
@@ -159,7 +212,14 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn block(&mut self, nlines: usize) -> Result<String, SnapshotError> {
+    /// A block written by [`push_counted`].
+    fn block(&mut self, key: &str) -> Result<Option<String>, SnapshotError> {
+        let nlines: usize = match self.field(key)? {
+            "-" => return Ok(None),
+            n => n
+                .parse()
+                .map_err(|_| SnapshotError::new(format!("bad {key}")))?,
+        };
         let mut out = String::new();
         for _ in 0..nlines {
             let line = self
@@ -169,16 +229,32 @@ impl<'a> Fields<'a> {
             out.push_str(line);
             out.push('\n');
         }
-        Ok(out)
+        Ok(Some(out))
     }
 
-    fn rest(self) -> String {
-        let mut out = String::new();
-        for line in self.lines {
-            out.push_str(line);
-            out.push('\n');
+    /// The `key present` block to the end of the payload, or `None`
+    /// for `key none`.
+    fn trailing(mut self, key: &str) -> Result<Option<String>, SnapshotError> {
+        match self.field(key)? {
+            "none" => {
+                if self.lines.next().is_some() {
+                    return Err(SnapshotError::new("trailing lines after the last block"));
+                }
+                Ok(None)
+            }
+            "present" => {
+                let mut out = String::new();
+                for line in self.lines {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+                if out.is_empty() {
+                    return Err(SnapshotError::new(format!("empty {key} block")));
+                }
+                Ok(Some(out))
+            }
+            other => Err(SnapshotError::new(format!("bad {key} marker {other:?}"))),
         }
-        out
     }
 }
 
@@ -193,13 +269,13 @@ fn scalar_row(text: &str, want: usize, what: &str) -> Result<Vec<f32>, SnapshotE
     Ok(row)
 }
 
-/// Parses [`encode`] output.
+/// Parses [`encode`] output, or a format-v1 payload.
 ///
 /// # Errors
 ///
 /// [`SnapshotError`] on any structural or bit-pattern mismatch.
 pub fn decode(text: &str) -> Result<SessionSnapshot, SnapshotError> {
-    let mut f = Fields::new(text)?;
+    let (mut f, version) = Fields::new(text)?;
     let session = f.field("session")?.to_string();
     let optimizer = f.field("optimizer")?.to_string();
     let value = scalar_row(f.field("value")?, 1, "value")?[0];
@@ -267,25 +343,20 @@ pub fn decode(text: &str) -> Result<SessionSnapshot, SnapshotError> {
             _ => return Err(SnapshotError::new(format!("bad outcome marker {text:?}"))),
         },
     };
-    let gate_lines = f
-        .field("gate_lines")?
-        .parse()
-        .map_err(|_| SnapshotError::new("bad gate_lines"))?;
-    let gate_state = f.block(gate_lines)?;
-    let opt_state = match f.field("opt_state")? {
-        "none" => None,
-        "present" => {
-            let rest = f.rest();
-            if rest.is_empty() {
-                return Err(SnapshotError::new("empty opt_state block"));
-            }
-            Some(rest)
-        }
-        other => {
-            return Err(SnapshotError::new(format!(
-                "bad opt_state marker {other:?}"
-            )))
-        }
+    let gate_state = f
+        .block("gate_lines")?
+        .ok_or_else(|| SnapshotError::new("missing gate block"))?;
+    let (opt_state, moments) = if version == 1 {
+        let opt_state = f.trailing("opt_state")?;
+        let moments = if optimizer == "yellowfin" {
+            opt_state.clone()
+        } else {
+            None
+        };
+        (opt_state, moments)
+    } else {
+        let opt_state = f.block("opt_lines")?;
+        (opt_state, f.trailing("moments")?)
     };
     Ok(SessionSnapshot {
         spec: OpenSpec {
@@ -301,12 +372,18 @@ pub fn decode(text: &str) -> Result<SessionSnapshot, SnapshotError> {
         last_outcome,
         gate_state,
         opt_state,
+        moments,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ClientFrame;
+    use crate::session::Session;
+    use yf_tensor::reduce;
+    use yf_tensor::rng::Pcg32;
+    use yf_wire::fsio::fnv1a;
 
     fn snapshot() -> SessionSnapshot {
         SessionSnapshot {
@@ -333,7 +410,8 @@ mod tests {
                 clamped: true,
             }),
             gate_state: "version 1\ntolerance 4024000000000000\n".to_string(),
-            opt_state: Some("kind yellowfin\nversion 1\nlr 3dcccccd\n".to_string()),
+            opt_state: Some("version 1\nstep_count 41\nlr_ema.steps 41\n".to_string()),
+            moments: Some("version 1\nvariance.first.steps 41\n".to_string()),
         }
     }
 
@@ -345,11 +423,13 @@ mod tests {
         bare.last = None;
         bare.last_outcome = None;
         bare.opt_state = None;
+        bare.moments = None;
         assert_eq!(decode(&encode(&bare)).unwrap(), bare);
         let mut rejected = snapshot();
         rejected.last_outcome = Some(Outcome::Rejected {
             reason: "loss spike: 12.5 exceeds the envelope".to_string(),
         });
+        rejected.moments = None;
         assert_eq!(decode(&encode(&rejected)).unwrap(), rejected);
     }
 
@@ -373,41 +453,66 @@ mod tests {
     #[test]
     fn truncations_and_corruption_are_rejected() {
         let text = encode(&snapshot());
-        for cut in [5, text.len() / 3, text.len() / 2] {
+        let moments = "version 1\nvariance.first.steps 41\n".len();
+        for cut in [5, text.len() / 3, text.len() / 2, text.len() - moments] {
             assert!(decode(&text[..cut]).is_err(), "cut at {cut}");
         }
-        assert!(decode(&text.replace("opt_state present", "opt_state maybe")).is_err());
+        assert!(decode(&text.replace("opt_lines 3", "opt_lines maybe")).is_err());
         assert!(decode(&text.replace("gate_lines 2", "gate_lines 99")).is_err());
+        assert!(decode(&text.replace("moments present", "moments maybe")).is_err());
+        assert!(decode(&text.replace("moments present\n", "moments none\n")).is_err());
         assert!(decode(&text.replace("outcome tuned", "outcome perhaps")).is_err());
+        let mut bare = snapshot();
+        bare.moments = None;
+        assert!(decode(&format!("{}stray line\n", encode(&bare))).is_err());
         assert!(decode("wrong header\n").is_err());
     }
 
-    /// Format-freeze pin: a dim-64 yellowfin session after 30 seeded
-    /// measurements. Sealed snapshots resume across builds only while
-    /// these bytes, and the measure line that fed the last step, stay
-    /// the same.
-    #[test]
-    fn snapshot_and_measure_line_bytes_are_frozen() {
-        use crate::proto::ClientFrame;
-        use crate::session::Session;
-        use yf_tensor::rng::Pcg32;
-        use yf_wire::fsio::fnv1a;
-
-        let (name, dim) = ("pin-64", 64);
-        let mut session = Session::new(OpenSpec {
+    fn pin_spec(name: &str, dim: usize) -> OpenSpec {
+        OpenSpec {
             session: name.to_string(),
             optimizer: "yellowfin".to_string(),
             value: 1.0,
             dim,
             authority: Authority::default(),
             filter: FilterSpec::default(),
-        })
-        .unwrap();
+        }
+    }
+
+    /// The pins' seeded `(loss, gradient)` stream.
+    fn pin_stream(dim: usize, frames: usize) -> Vec<(f32, Vec<f32>)> {
         let mut rng = Pcg32::seed(30);
+        (0..frames)
+            .map(|_| {
+                let loss = rng.uniform();
+                (loss, (0..dim).map(|_| rng.normal()).collect())
+            })
+            .collect()
+    }
+
+    fn outcome_bits(o: &Outcome) -> Option<(u32, u32, u32, bool)> {
+        match o {
+            Outcome::Tuned { hyper, clamped } => Some((
+                hyper.lr.to_bits(),
+                hyper.momentum.to_bits(),
+                hyper.grad_scale.to_bits(),
+                *clamped,
+            )),
+            Outcome::Rejected { .. } => None,
+        }
+    }
+
+    /// Format-freeze pin: a dim-64 gradient-fed yellowfin session after
+    /// 30 seeded measurements. Sealed snapshots resume across builds only
+    /// while these bytes, and the measure line that fed the last step,
+    /// stay the same.
+    #[test]
+    fn snapshot_and_measure_line_bytes_are_frozen() {
+        let (name, dim) = ("pin-64", 64);
+        let mut session = Session::new(pin_spec(name, dim)).unwrap();
         let mut line = String::new();
-        for step in 0..30 {
-            let loss = rng.uniform();
-            let grads: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+        for (step, (loss, grads)) in pin_stream(dim, 30).into_iter().enumerate() {
+            let step = step as u64;
             session.measure(step, loss, &grads).unwrap();
             line = ClientFrame::Measure {
                 session: name.to_string(),
@@ -424,7 +529,75 @@ mod tests {
         );
         assert_eq!(
             (snap.len(), fnv1a(snap.as_bytes())),
-            (4599, 0x57a3_e159_eecf_5a82)
+            (4629, 0x89d6_c696_753f_c11e)
         );
+    }
+
+    /// Format-freeze pin for the stats feed: a dim-4096 session fed 30
+    /// `measure_stats` frames from a local moment sweep seals a few KB,
+    /// and each frame is one short line, whatever the dimension.
+    #[test]
+    fn stats_fed_snapshot_and_measure_stats_line_bytes_are_frozen() {
+        use yellowfin::measurements::GradVariance;
+        let (name, dim) = ("pin-4096", 4096);
+        let mut session = Session::new(pin_spec(name, dim)).unwrap();
+        let mut moments = GradVariance::new(crate::registry::yellowfin_config(1.0).beta);
+        let mut line = String::new();
+        for (step, (loss, grads)) in pin_stream(dim, 30).into_iter().enumerate() {
+            let step = step as u64;
+            let sumsq = reduce::tree_reduce(&reduce::block_sumsq(&grads));
+            let mut var_sum = 0.0;
+            session
+                .measure_swept(step, loss, sumsq, |scale| {
+                    moments.observe_scaled(&grads, scale, 1);
+                    var_sum = moments.variance();
+                    var_sum
+                })
+                .unwrap();
+            line = ClientFrame::MeasureStats {
+                session: name.to_string(),
+                step,
+                loss,
+                sumsq,
+                var_sum,
+            }
+            .to_line();
+        }
+        let snap = encode(&session.snapshot());
+        assert!(snap.len() < 2600, "stats-fed snapshot is {} B", snap.len());
+        assert!(line.len() < 160, "measure_stats line is {} B", line.len());
+        assert_eq!(
+            (line.len(), fnv1a(line.as_bytes())),
+            (129, 0x1f90_ae2e_b4e4_144b)
+        );
+        assert_eq!(
+            (snap.len(), fnv1a(snap.as_bytes())),
+            (2237, 0x0de5_8279_0461_bcda)
+        );
+    }
+
+    /// A v1 snapshot, sealed by the format before the tuner split from
+    /// the recipe of [`snapshot_and_measure_line_bytes_are_frozen`],
+    /// decodes, resumes as a gradient-fed session, and continues bitwise
+    /// like the uninterrupted session.
+    #[test]
+    fn v1_snapshots_resume_bitwise() {
+        let text = include_str!("../tests/fixtures/session-v1-dim64.snap");
+        assert_eq!(text.len(), 4599);
+        let snap = decode(text).unwrap();
+        assert_eq!(snap.step, 30);
+        assert!(snap.moments.is_some(), "v1 yellowfin resumes gradient-fed");
+        let mut resumed = Session::restore(snap).unwrap();
+        let frames = pin_stream(64, 40);
+        let mut uninterrupted = Session::new(pin_spec("pin-64", 64)).unwrap();
+        for (step, (loss, grads)) in frames.iter().enumerate() {
+            let want = uninterrupted.measure(step as u64, *loss, grads).unwrap();
+            if step >= 30 {
+                let got = resumed.measure(step as u64, *loss, grads).unwrap();
+                assert_eq!(outcome_bits(&got), outcome_bits(&want), "step {step}");
+                assert_eq!(got, want, "step {step}");
+            }
+        }
+        assert!(encode(&resumed.snapshot()).starts_with("yf-serve-session v2\n"));
     }
 }

@@ -11,10 +11,13 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+use yellowfin::measurements::GradVariance;
+use yf_serve::registry::yellowfin_config;
 use yf_serve::{
-    Authority, Client, ClientConfig, FilterSpec, MeasureReply, OpenSpec, Outcome, ServeConfig,
-    Server, ServerFrame, Session, WireDialect,
+    Authority, Client, ClientConfig, ClientError, FilterSpec, MeasureReply, OpenSpec, Outcome,
+    ServeConfig, Server, ServerFrame, Session, WireDialect,
 };
+use yf_tensor::reduce;
 use yf_tensor::rng::Pcg32;
 
 const DIM: usize = 16;
@@ -54,6 +57,49 @@ fn reference(open: &OpenSpec, frames: &[(f32, Vec<f32>)]) -> Vec<Outcome> {
         .enumerate()
         .map(|(i, (loss, grads))| session.measure(i as u64, *loss, grads).unwrap())
         .collect()
+}
+
+/// The `measure_stats` payloads `(loss, sumsq, var_sum)` a client holding
+/// its own gradient moments sends for `frames`: a local stats-fed shadow
+/// session gates each frame and only then sweeps it into the moments.
+fn stats_stream(open: &OpenSpec, frames: &[(f32, Vec<f32>)]) -> Vec<(f32, f64, f64)> {
+    let mut shadow = Session::new(open.clone()).unwrap();
+    let mut moments = GradVariance::new(yellowfin_config(open.value).beta);
+    frames
+        .iter()
+        .enumerate()
+        .map(|(i, (loss, grads))| {
+            let sumsq = reduce::tree_reduce(&reduce::block_sumsq(grads));
+            let mut var_sum = 0.0;
+            shadow
+                .measure_swept(i as u64, *loss, sumsq, |scale| {
+                    moments.observe_scaled(grads, scale, 1);
+                    var_sum = moments.variance();
+                    var_sum
+                })
+                .unwrap();
+            (*loss, sumsq, var_sum)
+        })
+        .collect()
+}
+
+/// Sends frame `step` of a session as a gradient frame, or as the stats
+/// frame of `stats` when the session is stats-fed.
+fn send_frame(
+    client: &mut Client,
+    session: &str,
+    step: usize,
+    frames: &[(f32, Vec<f32>)],
+    stats: Option<&[(f32, f64, f64)]>,
+) -> MeasureReply {
+    match stats {
+        Some(stats) => {
+            let (loss, sumsq, var_sum) = stats[step];
+            client.measure_stats(session, step as u64, loss, sumsq, var_sum)
+        }
+        None => client.measure(session, step as u64, frames[step].0, &frames[step].1),
+    }
+    .unwrap()
 }
 
 fn reply_matches(reply: &MeasureReply, want: &Outcome, context: &str) {
@@ -173,7 +219,9 @@ fn sigkilled_server_resumes_every_session_bitwise() {
     // The acceptance bar: 8 concurrent sessions, the server SIGKILL'd
     // mid-stream, restarted from its snapshot directory — and every
     // resumed session's subsequent Hyper stream is bitwise identical to
-    // an uninterrupted run.
+    // an uninterrupted run. The two yellowfin sessions k0 and k4 are fed
+    // measure_stats frames, and must resume just as the gradient-fed
+    // sessions do.
     const TOTAL: usize = 60;
     const BEFORE_KILL: usize = 25;
     let dir = temp_dir("sigkill");
@@ -187,12 +235,11 @@ fn sigkilled_server_resumes_every_session_bitwise() {
             std::thread::spawn(move || {
                 let open = spec(&format!("k{i}"), OPTIMIZERS[i % OPTIMIZERS.len()]);
                 let frames = stream(200 + i as u64, TOTAL);
+                let stats = (i % 4 == 0).then(|| stats_stream(&open, &frames));
                 let mut client = Client::connect(addr.as_str()).unwrap();
-                assert_eq!(client.open(open).unwrap(), 0);
-                for (step, (loss, grads)) in frames.iter().enumerate().take(BEFORE_KILL) {
-                    client
-                        .measure(&format!("k{i}"), step as u64, *loss, grads)
-                        .unwrap();
+                assert_eq!(client.open(open.clone()).unwrap(), 0);
+                for step in 0..BEFORE_KILL {
+                    send_frame(&mut client, &open.session, step, &frames, stats.as_deref());
                 }
                 // No close: the connection dies with the server.
             })
@@ -216,6 +263,7 @@ fn sigkilled_server_resumes_every_session_bitwise() {
             std::thread::spawn(move || {
                 let open = spec(&format!("k{i}"), OPTIMIZERS[i % OPTIMIZERS.len()]);
                 let frames = stream(200 + i as u64, TOTAL);
+                let stats = (i % 4 == 0).then(|| stats_stream(&open, &frames));
                 let want = reference(&open, &frames);
                 let mut client = Client::connect(addr.as_str()).unwrap();
                 let resume = client.open(open.clone()).unwrap();
@@ -223,15 +271,10 @@ fn sigkilled_server_resumes_every_session_bitwise() {
                     resume, BEFORE_KILL as u64,
                     "session k{i} must resume exactly where its snapshot sealed"
                 );
-                for (step, (loss, grads)) in frames.iter().enumerate().skip(resume as usize) {
-                    let reply = client
-                        .measure(&open.session, step as u64, *loss, grads)
-                        .unwrap();
-                    reply_matches(
-                        &reply,
-                        &want[step],
-                        &format!("resumed session k{i} step {step}"),
-                    );
+                for (step, want) in want.iter().enumerate().skip(resume as usize) {
+                    let reply =
+                        send_frame(&mut client, &open.session, step, &frames, stats.as_deref());
+                    reply_matches(&reply, want, &format!("resumed session k{i} step {step}"));
                 }
                 client.close_session(&open.session).unwrap();
             })
@@ -242,6 +285,50 @@ fn sigkilled_server_resumes_every_session_bitwise() {
     }
     child.kill().unwrap();
     child.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_seal_answers_with_an_error_and_the_reopen_replays_bitwise() {
+    // A measurement whose snapshot cannot be sealed must not be
+    // acknowledged: the client gets an error frame, the session is
+    // unloaded, and a re-open resumes from the last sealed step, from
+    // which the replayed stream matches the reference bitwise.
+    let dir = temp_dir("seal-fail");
+    let server = Server::start(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let open = spec("seal", "yellowfin");
+    let frames = stream(55, 20);
+    let want = reference(&open, &frames);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.open(open.clone()).unwrap(), 0);
+    for (step, want) in want.iter().enumerate().take(6) {
+        let reply = send_frame(&mut client, "seal", step, &frames, None);
+        reply_matches(&reply, want, &format!("step {step}"));
+    }
+    // A directory where the sealed write puts its temporary file fails
+    // that file's creation, even for root.
+    let blocker = dir.join(".seal.session.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    match client.measure("seal", 6, frames[6].0, &frames[6].1) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("seal"), "{msg}"),
+        other => panic!("an unsealed measurement must not be acknowledged, got {other:?}"),
+    }
+    std::fs::remove_dir(&blocker).unwrap();
+    assert_eq!(
+        client.open(open).unwrap(),
+        6,
+        "the re-open resumes at the last sealed step"
+    );
+    for (step, want) in want.iter().enumerate().skip(6) {
+        let reply = send_frame(&mut client, "seal", step, &frames, None);
+        reply_matches(&reply, want, &format!("replayed step {step}"));
+    }
+    client.close_session("seal").unwrap();
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
