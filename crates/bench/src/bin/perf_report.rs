@@ -33,9 +33,13 @@
 //! explicitly so the entries are stable under `YF_SERVE_WIRE`), at 1
 //! and at 32 concurrent sessions. The negotiated dialect is recorded in
 //! the header (`serve_wire`). `serve_durable_stats_1_session` times the
-//! durable path (a snapshot sealed before every reply): YellowFin's
-//! moments kept by the client and `measure_stats` frames, against the
-//! full-gradient `measure` stream as its seed. The `hex_f32_*` entries time the float
+//! durable path (each measurement logged, or sealed into a snapshot,
+//! before its reply): YellowFin's moments kept by the client and
+//! `measure_stats` frames, against the full-gradient `measure` stream as
+//! its seed. `serve_persist_stats_record` times the server's persist
+//! step alone for such a session: one log append of a `measure_stats`
+//! record, against a sealed write of the session's snapshot as its seed.
+//! The `hex_f32_*` entries time the float
 //! text codec those JSON frames are made of, against the seed
 //! `format!`/`from_str_radix` codec, and gate like every other kernel.
 //!
@@ -59,12 +63,13 @@ use yellowfin::YellowFin;
 use yf_autograd::conv::{self, reference as conv_ref};
 use yf_autograd::norm::{self, reference as norm_ref};
 use yf_autograd::ConvSpec;
+use yf_experiments::fleet::{fsio, log::Log};
 use yf_optim::sharded::{step_fused, step_sharded};
 use yf_optim::{Adam, Hyper, MomentumSgd, Optimizer, ParamShard};
 use yf_serve::registry::yellowfin_config;
 use yf_serve::{
-    Authority, Client, ClientConfig, FilterSpec, OpenSpec, ServeConfig, Server, Session,
-    WireDialect,
+    snapshot, Authority, Client, ClientConfig, ClientFrame, FilterSpec, OpenSpec, ServeConfig,
+    Server, Session, WireDialect,
 };
 use yf_tensor::gemm::reference as gemm_ref;
 use yf_tensor::hex;
@@ -960,13 +965,14 @@ fn main() {
         let bin_many = stream_many(&bin_cfg, "b");
         push("serve_measure_binary_32_sessions", bin_many, json_many);
 
-        // The durable path, where every measurement is sealed to disk
-        // before its reply: one JSON session at a time against a server
-        // with a snapshot directory. The new side keeps YellowFin's
-        // moments locally, sweeps each gradient once (the default
-        // configuration never clips, so the sweep scale is 1) and sends
+        // The durable path, where every measurement is on disk before
+        // its reply: one JSON session at a time against a server with a
+        // snapshot directory. The new side keeps YellowFin's moments
+        // locally, sweeps each gradient once (the default configuration
+        // never clips, so the sweep scale is 1) and sends
         // `measure_stats`; the seed sends the full gradient with
-        // `measure`, so the server sweeps and seals the moments. Both
+        // `measure`, so the server sweeps the moments and logs the
+        // gradient, and its snapshots carry the moments. Both
         // sides are sampled alternately; the name stays outside
         // `serve_measure_`, so the gate bands the speedup.
         let dir = std::env::temp_dir().join(format!("yf-perf-durable-{}", std::process::id()));
@@ -1008,6 +1014,41 @@ fn main() {
             (grads_batch / frames as u128).max(1),
         );
         let _ = durable.drain();
+
+        // What persisting one of those measurements costs the server on
+        // its own: appending the frame's record to the session log,
+        // against sealing the session's whole snapshot (the write every
+        // served step paid before the log). Both write into the same
+        // directory and are sampled alternately; the name stays outside
+        // `serve_measure_`, so the gate bands the speedup.
+        let (snap, line) = {
+            let mut session = Session::new(open_spec("persist".to_string(), dim)).unwrap();
+            let mut moments = GradVariance::new(yellowfin_config(0.1).beta);
+            let mut line = String::new();
+            for (i, g) in grads.iter().enumerate() {
+                let sumsq = reduce::tree_reduce(&reduce::block_sumsq(g));
+                moments.observe_scaled(g, 1.0, 1);
+                let (step, var_sum) = (i as u64, moments.variance());
+                session.measure_stats(step, 0.5, sumsq, var_sum).unwrap();
+                line = ClientFrame::MeasureStats {
+                    session: "persist".to_string(),
+                    step,
+                    loss: 0.5,
+                    sumsq,
+                    var_sum,
+                }
+                .to_line();
+            }
+            (snapshot::encode(&session.snapshot()), line)
+        };
+        let mut log = Log::open(&dir.join("persist.log")).expect("open log").0;
+        let snap_path = dir.join("persist.session");
+        let (append, seal) = paired_median_ns(
+            || log.append(&line).expect("log append"),
+            || fsio::write_sealed(&snap_path, &snap).expect("seal snapshot"),
+        );
+        push("serve_persist_stats_record", append, seal);
+        drop(log);
         let _ = std::fs::remove_dir_all(&dir);
 
         // Record what the server actually negotiated when asked for the
@@ -1081,7 +1122,7 @@ fn main() {
         std::env::var("YF_PERF_OUT").unwrap_or_else(|_| "BENCH_kernels.json".to_string());
     // Atomic replace: a crashed run never leaves a truncated baseline
     // for the regression gate to choke on.
-    yf_experiments::fleet::fsio::write_atomic(std::path::Path::new(&out_path), json.as_bytes())
+    fsio::write_atomic(std::path::Path::new(&out_path), json.as_bytes())
         .expect("write BENCH_kernels.json");
     println!("\nwrote {out_path}");
 

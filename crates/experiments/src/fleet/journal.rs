@@ -1,20 +1,23 @@
-//! The durable job journal: an append-only JSONL event log that makes a
-//! grid sweep's progress survive coordinator and worker crashes.
+//! The durable job journal: an append-only log of JSON events that
+//! makes a grid sweep's progress survive coordinator and worker crashes.
 //!
-//! Every state transition of every `(value, seed)` cell is one fsynced
-//! line — `job` (enqueued), `lease` (dispatched to a worker), `done`
+//! Every state transition of every `(value, seed)` cell is one record
+//! of a [`Log`], fsynced before the coordinator acts on
+//! it — `job` (enqueued), `lease` (dispatched to a worker), `done`
 //! (result durably on disk), `fail` (attempt ended without a result).
 //! Replaying the log reconstructs exactly which cells are finished and
 //! how many attempts each open cell has consumed, so a restarted
-//! coordinator resumes the sweep without re-running completed cells. A
-//! torn final line (the classic crash-mid-append) is tolerated: replay
-//! ignores it and the next append supersedes it.
+//! coordinator resumes the sweep without re-running completed cells.
+//! Each record checks itself, and replay cuts a torn final record (the
+//! classic crash-mid-append) off the file before the next append, so a
+//! new event never lands on the fragment.
 
-use super::fsio::append_line_durable;
 use super::json::{self, Json};
+use super::log::{Log, LogError};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use yf_tensor::hex;
 
 /// One journal event.
@@ -141,7 +144,8 @@ impl Event {
 pub enum JournalError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// An interior line (not the torn tail) failed to parse.
+    /// A record other than the torn tail is damaged or fails to parse,
+    /// or the journal predates checked records.
     Malformed(String),
 }
 
@@ -159,6 +163,15 @@ impl std::error::Error for JournalError {}
 impl From<io::Error> for JournalError {
     fn from(e: io::Error) -> Self {
         JournalError::Io(e)
+    }
+}
+
+impl From<LogError> for JournalError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Io(e) => JournalError::Io(e),
+            corrupt => JournalError::Malformed(corrupt.to_string()),
+        }
     }
 }
 
@@ -182,20 +195,24 @@ pub struct CellState {
 pub struct Replay {
     /// Per-cell states, indexed by cell (dense; `job` events define it).
     pub cells: Vec<CellState>,
-    /// Whether a torn trailing line was dropped during replay.
-    pub dropped_torn_tail: bool,
 }
 
 /// The append-only journal file.
 pub struct Journal {
     path: PathBuf,
+    /// The log as the last replay or append left it open; `None` before
+    /// either and after a failed append, so the next use re-opens the
+    /// file and cuts whatever the failure left.
+    log: Mutex<Option<Log>>,
 }
 
 impl Journal {
-    /// Opens (or names) the journal at `dir/journal.jsonl`.
+    /// Names the journal at `dir/journal.jsonl`; the file is opened on
+    /// first use.
     pub fn open(dir: &Path) -> Journal {
         Journal {
             path: dir.join("journal.jsonl"),
+            log: Mutex::new(None),
         }
     }
 
@@ -204,49 +221,45 @@ impl Journal {
         &self.path
     }
 
-    /// Durably appends one event (single fsynced line).
+    /// Durably appends one event (one fsynced record).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying I/O error.
+    /// [`JournalError::Io`] on I/O failure; opening the journal for its
+    /// first append can also fail as [`Journal::replay`] does.
     pub fn append(&self, event: &Event) -> Result<(), JournalError> {
-        append_line_durable(&self.path, &event.to_json().to_string())?;
-        Ok(())
+        let mut slot = self.log.lock().expect("journal lock poisoned");
+        let log = match slot.as_mut() {
+            Some(log) => log,
+            None => slot.insert(Log::open(&self.path)?.0),
+        };
+        let appended = log.append(&event.to_json().to_string());
+        if appended.is_err() {
+            *slot = None;
+        }
+        Ok(appended?)
     }
 
-    /// Replays the journal into per-cell state. A missing file replays to
-    /// an empty sweep; a torn *final* line is dropped (crash mid-append);
-    /// a malformed interior line is corruption and errors.
+    /// Replays the journal into per-cell state, creating an empty
+    /// journal when none exists. A torn final record (crash mid-append)
+    /// is cut off the file; damage anywhere else is corruption.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] on read failure, [`JournalError::Malformed`]
-    /// on interior corruption or events referencing unknown cells.
+    /// [`JournalError::Io`] on I/O failure, [`JournalError::Malformed`]
+    /// on corruption, a journal without record checks, or events
+    /// referencing unknown cells.
     pub fn replay(&self) -> Result<Replay, JournalError> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Replay::default()),
-            Err(e) => return Err(JournalError::Io(e)),
-        };
-        let lines: Vec<&str> = text.lines().collect();
+        let (log, records) = Log::open(&self.path)?;
         let mut replay = Replay::default();
-        for (i, line) in lines.iter().enumerate() {
-            let last = i + 1 == lines.len();
-            let parsed = json::parse(line)
+        for (i, record) in records.iter().enumerate() {
+            let event = json::parse(record)
                 .map_err(|e| e.to_string())
-                .and_then(|v| Event::from_json(&v).map_err(|e| e.to_string()));
-            let event = match parsed {
-                Ok(ev) => ev,
-                Err(_) if last && !text.ends_with('\n') => {
-                    // Torn tail: the process died mid-append. The event
-                    // never became durable; drop it.
-                    replay.dropped_torn_tail = true;
-                    break;
-                }
-                Err(e) => return Err(JournalError::Malformed(format!("line {}: {e}", i + 1))),
-            };
+                .and_then(|v| Event::from_json(&v).map_err(|e| e.to_string()))
+                .map_err(|e| JournalError::Malformed(format!("line {}: {e}", i + 1)))?;
             replay.apply(event, i + 1)?;
         }
+        *self.log.lock().expect("journal lock poisoned") = Some(log);
         Ok(replay)
     }
 }
@@ -355,6 +368,14 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Appends raw bytes behind the journal's back, as a crash
+    /// mid-append or a damaged disk would leave them.
+    fn append_raw(j: &Journal, bytes: &[u8]) {
+        use std::io::Write;
+        let mut f = fs::OpenOptions::new().append(true).open(j.path()).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn torn_tail_is_dropped_interior_corruption_is_fatal() {
         let dir = tmpdir("torn");
@@ -365,23 +386,104 @@ mod tests {
             seed: 1,
         })
         .unwrap();
+        let whole = fs::read(j.path()).unwrap();
         // Simulate a crash mid-append: a partial line with no newline.
-        use std::io::Write;
-        let mut f = fs::OpenOptions::new().append(true).open(j.path()).unwrap();
-        f.write_all(b"{\"e\":\"done\",\"cel").unwrap();
-        drop(f);
+        append_raw(&j, b"{\"e\":\"done\",\"cel");
         let r = j.replay().unwrap();
-        assert!(r.dropped_torn_tail);
         assert_eq!(r.cells.len(), 1);
         assert!(!r.cells[0].done, "torn done event must not count");
+        assert_eq!(
+            fs::read(j.path()).unwrap(),
+            whole,
+            "replay cuts the torn tail"
+        );
 
-        // Interior corruption (a complete but malformed line) is fatal.
-        fs::write(
-            j.path(),
-            "{\"e\":\"job\",\"cell\":0,\"value\":\"01\",\"seed\":1}\nnot json\n{\"e\":\"done\",\"cell\":0}\n",
-        )
-        .unwrap();
+        // Interior corruption (a damaged record before a whole one) is
+        // fatal, and the journal is left as it is.
+        let mut damaged = whole.clone();
+        damaged[3] ^= 0x20;
+        damaged.extend_from_slice(&whole);
+        fs::write(j.path(), &damaged).unwrap();
         assert!(matches!(j.replay(), Err(JournalError::Malformed(_))));
+        assert_eq!(fs::read(j.path()).unwrap(), damaged);
+
+        // A whole record that is not an event is malformed too.
+        fs::write(j.path(), b"").unwrap();
+        let mut log = Log::open(j.path()).unwrap().0;
+        log.append("not json").unwrap();
+        assert!(matches!(j.replay(), Err(JournalError::Malformed(_))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_append_after_a_torn_tail_is_replayed_whole() {
+        // A torn tail that replay dropped but left on disk would glue
+        // the next event onto the fragment, and every later replay of
+        // the sweep would fail on the glued line.
+        let dir = tmpdir("glue");
+        let j = Journal::open(&dir);
+        j.append(&Event::Job {
+            cell: 0,
+            value_bits: 1,
+            seed: 1,
+        })
+        .unwrap();
+        append_raw(&j, b"{\"e\":\"done\",\"cel");
+        assert_eq!(j.replay().unwrap().cells.len(), 1);
+        j.append(&Event::Lease {
+            cell: 0,
+            worker: 0,
+            attempt: 0,
+        })
+        .unwrap();
+        let r = Journal::open(&dir).replay().unwrap();
+        assert_eq!(r.cells.len(), 1);
+        assert_eq!(r.cells[0].attempts, 1, "the lease counts");
+        assert!(!r.cells[0].done);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journals_without_record_checks_are_refused() {
+        // The format before checked records: one bare JSON event a line.
+        let dir = tmpdir("legacy");
+        let j = Journal::open(&dir);
+        let legacy = "{\"e\":\"job\",\"cell\":0,\"value\":\"3dcccccd\",\"seed\":7}\n\
+                      {\"e\":\"lease\",\"cell\":0,\"worker\":0,\"attempt\":0}\n";
+        fs::write(j.path(), legacy).unwrap();
+        match j.replay() {
+            Err(JournalError::Malformed(msg)) => {
+                assert!(msg.contains("line 1 is not a checked"), "{msg}");
+            }
+            other => panic!("expected a refused journal, got {other:?}"),
+        }
+        assert_eq!(
+            fs::read_to_string(j.path()).unwrap(),
+            legacy,
+            "left as it is"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn job_record_bytes_are_frozen() {
+        // Format-freeze pin: journals resume across builds only while a
+        // record's bytes stay the same.
+        let dir = tmpdir("pin");
+        let j = Journal::open(&dir);
+        j.append(&Event::Job {
+            cell: 3,
+            value_bits: 0x3dcc_cccd,
+            seed: 7,
+        })
+        .unwrap();
+        let record = fs::read(j.path()).unwrap();
+        assert_eq!(
+            (record.len(), super::super::fsio::fnv1a(&record)),
+            (66, 0xb2f8_5f56_c8f4_0c4b),
+            "{}",
+            String::from_utf8_lossy(&record)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

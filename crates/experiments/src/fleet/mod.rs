@@ -4,8 +4,9 @@
 //! `(value, seed)` cell, multi-seed averaging, pick the best smoothed
 //! curve — reframed as a durable multi-process job queue:
 //!
-//! - [`journal`]: every cell is a job in an append-only fsynced JSONL
-//!   journal (`pending → leased → done/failed`); replay resumes a sweep
+//! - [`journal`]: every cell is a job in an append-only fsynced
+//!   journal of checked JSON records (`pending → leased → done/failed`)
+//!   on a [`log`]; replay cuts a torn final record and resumes a sweep
 //!   after any crash without re-running finished cells;
 //! - [`worker`] + the `yf-fleet-worker` binary: N worker processes take
 //!   cells over line-delimited JSON on stdio ([`proto`]), checkpoint
@@ -31,11 +32,11 @@ pub mod proto;
 pub mod registry;
 pub mod worker;
 
-// The wire dialect (line JSON, sealed atomic files) is shared with
-// `yf-serve`; it lives in `yf-wire` so fleet and serve cannot drift, and
-// floats inside it are `yf_tensor::hex` bit patterns. Re-exported under
-// the original fleet paths.
-pub use yf_wire::{fsio, json};
+// The wire dialect (line JSON, sealed atomic files, the durable log) is
+// shared with `yf-serve`; it lives in `yf-wire` so fleet and serve cannot
+// drift, and floats inside it are `yf_tensor::hex` bit patterns.
+// Re-exported under the original fleet paths.
+pub use yf_wire::{fsio, json, log};
 
 pub use coordinator::{
     run_fleet, FleetConfig, FleetError, FleetReport, FleetSpec, WorkerTransport,

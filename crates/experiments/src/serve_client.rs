@@ -7,7 +7,7 @@
 //! velocity — and streams four scalars per step, `(step, loss, Σg², C)`,
 //! as one `measure_stats` frame. The server's session runs the scalar
 //! half ([`yellowfin::TunerCore`]), the quality gate and the authority
-//! clamp, and seals O(window) state per step. The apply phase is a
+//! clamp, and logs one short record per step. The apply phase is a
 //! plain Polyak [`MomentumSgd`] whose `step_shard` applies whatever
 //! [`Hyper`] came back on the wire; since YellowFin's own apply phase is
 //! the identical `momentum_step` kernel, a trainer driving a

@@ -10,10 +10,11 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use yf_experiments::fleet::{
-    self, codec, fsio, journal::Journal, registry, run_fleet, FleetConfig, FleetError, FleetSpec,
-    WorkerTransport,
+    self, codec, fsio,
+    journal::{Event, Journal},
+    registry, run_fleet, FleetConfig, FleetError, FleetSpec, WorkerTransport,
 };
-use yf_experiments::grid::{grid_search, GridOutcome};
+use yf_experiments::grid::{grid_cells, grid_search, GridOutcome};
 use yf_experiments::trainer::RunConfig;
 
 const VALUES: [f32; 2] = [0.05, 0.1];
@@ -193,6 +194,42 @@ fn coordinator_restart_resumes_without_rerunning_done_cells() {
     assert_eq!(report.recovered_results, 2, "done cells must not re-run");
     assert_eq!(report.executed_cells, 2, "only cells 2 and 3 run again");
     assert_eq!(report.outcome, baseline());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_journal_tail_resumes_and_resumes_again_bitwise() {
+    // A sweep directory whose journal ends in a torn event, as a
+    // coordinator killed mid-append leaves it: every cell enqueued, then
+    // half a lease. The first run resumes the sweep and appends its
+    // events after the torn tail; the second must still read them all.
+    let dir = sweep_dir("torn-journal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = Journal::open(&dir);
+    for (cell, (value, seed)) in grid_cells(&VALUES, &SEEDS).into_iter().enumerate() {
+        journal
+            .append(&Event::Job {
+                cell,
+                value_bits: value.to_bits(),
+                seed,
+            })
+            .unwrap();
+    }
+    drop(journal);
+    let mut tail = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("journal.jsonl"))
+        .unwrap();
+    std::io::Write::write_all(&mut tail, b"{\"e\":\"lease\",\"cel").unwrap();
+    drop(tail);
+
+    let first = run_fleet(&spec(), &config(None), &dir, worker_bin()).unwrap();
+    assert_eq!(first.outcome, baseline());
+    assert_eq!(first.executed_cells, 4);
+    let second = run_fleet(&spec(), &config(None), &dir, worker_bin()).unwrap();
+    assert_eq!(second.outcome, baseline());
+    assert_eq!(second.recovered_results, 4, "done cells must not re-run");
+    assert_eq!(second.executed_cells, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

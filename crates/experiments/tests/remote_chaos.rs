@@ -217,7 +217,8 @@ fn a_restarted_server_is_rejoined_by_probe_and_replay_bitwise() {
         "pre-outage",
     );
 
-    // Drain seals every session snapshot, then the server goes away.
+    // Drain unloads every session, whose state is on disk already,
+    // then the server goes away.
     server1.drain();
     server1.wait();
 
@@ -354,7 +355,7 @@ fn a_checkpointed_remote_trainer_resumes_on_a_fresh_tuner_bitwise() {
 
     let mut second =
         RemoteTuner::connect_with(server.local_addr(), spec("resume"), fast_cfg()).unwrap();
-    assert_eq!(second.next_step(), 21, "the session sealed step 20 too");
+    assert_eq!(second.next_step(), 21, "the session persisted step 20 too");
     let got = train_resumable(
         &mut Quadratic,
         &mut second,

@@ -30,7 +30,8 @@
 //! - [`snapshot`]: sealed, atomically-replaced per-session state files.
 //! - [`server`]: the TCP front end — bounded compute permits, bounded
 //!   per-connection outbound queues with slow-client shedding, idle
-//!   reaping, graceful drain, and SIGKILL-safe durability.
+//!   reaping, graceful drain, and SIGKILL-safe durability: a session's
+//!   snapshot plus a [`yf_wire::log`] of the frames accepted since.
 //! - [`client`]: a small blocking client with connect/read/write
 //!   deadlines and a deterministic reconnect backoff schedule; it sends
 //!   each measurement as one full frame and waits for its verdict

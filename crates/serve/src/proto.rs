@@ -222,7 +222,7 @@ pub enum ClientFrame {
         sumsq: f64,
         var_sum: f64,
     },
-    /// Detach a session (its sealed snapshot survives for a later
+    /// Detach a session (its snapshot and log survive for a later
     /// re-open).
     Close { session: String },
     /// Heartbeat; keeps this connection's sessions from idle-reaping.

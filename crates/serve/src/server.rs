@@ -21,17 +21,24 @@
 //! unloads everything and shuts the server down.
 //!
 //! With a snapshot directory, every measurement that advances a session
-//! is sealed to disk before its reply is queued, so the disk always
-//! holds the last acknowledged state: detach, close, reaping and drain
-//! write nothing, and even SIGKILL loses nothing — the restarted server
-//! re-opens every session at its snapshot step and the replayed stream
-//! continues bit-exactly. A seal that fails is answered with an `error`
-//! frame, never an acknowledgment, and the session is unloaded, so the
-//! next `open` reloads the last sealed state and the client replays.
+//! is made durable before its reply is queued, so the disk always holds
+//! the last acknowledged state. A session keeps two files there: a
+//! sealed snapshot `<name>.session`, and a [`Log`] `<name>.log` of the
+//! measurement frames accepted since. The first advancing measurement
+//! seals the snapshot; each later one appends its frame, as a canonical
+//! JSON line whatever dialect it arrived in, for one `fdatasync`; and
+//! once the log reaches `COMPACT_RATIO` (4) times the snapshot's size,
+//! the measurement seals a new snapshot and empties the log instead. An
+//! `open` restores the snapshot and replays the log through the same
+//! [`Session`] calls, which is bitwise the state it acknowledged, so
+//! even SIGKILL loses nothing. Detach, close, reaping and drain write
+//! nothing. A failed append or seal is answered with an `error` frame,
+//! never an acknowledgment, and the session is unloaded, so the next
+//! `open` reloads the disk state and the client replays.
 
 use crate::proto::{self, ClientFrame, OpenSpec, ServerFrame, WireDialect};
 use crate::session::{Outcome, Session};
-use crate::snapshot::{self, SessionSnapshot};
+use crate::snapshot;
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -44,6 +51,12 @@ use std::time::{Duration, Instant};
 use yf_tensor::{env, parallel};
 use yf_wire::binary::{self, RawFrame};
 use yf_wire::fsio::{self, SealedFileError};
+use yf_wire::log::{Log, LogError};
+
+/// A session log this many times the size of its last sealed snapshot is
+/// compacted into a new snapshot. That bounds the log an `open` replays,
+/// and spreads each compaction's sealed write over the appends before it.
+const COMPACT_RATIO: u64 = 4;
 
 /// Server tuning knobs. [`ServeConfig::from_env`] layers the
 /// `YF_SERVE_*` environment variables over these defaults with the
@@ -52,9 +65,10 @@ use yf_wire::fsio::{self, SealedFileError};
 pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Where sealed session snapshots live; `None` disables durability
-    /// (sessions die with the process). With a directory, every
-    /// measurement that advances a session is sealed before its reply.
+    /// Where session snapshots and logs live; `None` disables
+    /// durability (sessions die with the process). With a directory,
+    /// every measurement that advances a session is durable before its
+    /// reply.
     pub snapshot_dir: Option<PathBuf>,
     /// Max concurrently hosted sessions.
     pub max_sessions: usize,
@@ -160,6 +174,8 @@ impl Drop for Permit<'_> {
 /// One hosted session plus its server-side bookkeeping.
 struct Entry {
     session: Session,
+    /// The session's files; `None` without a snapshot directory.
+    disk: Option<Disk>,
     /// Attached to a live connection (a session is driven by at most
     /// one connection at a time).
     attached: bool,
@@ -185,23 +201,59 @@ struct Shared {
     draining: AtomicBool,
 }
 
-impl Shared {
-    fn snapshot_path(&self, name: &str) -> Option<PathBuf> {
-        self.cfg
-            .snapshot_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{name}.session")))
-    }
+/// A durable session's files: where its snapshot is sealed, the size of
+/// the last sealed snapshot (0 before the first seal), and its log — open
+/// from load when the session resumed, and from the first append when
+/// it is fresh, so a session that never appends creates no log file.
+struct Disk {
+    snapshot: PathBuf,
+    sealed: u64,
+    log: Option<Log>,
+}
 
-    /// Seals a session's state to disk (atomic replace); a no-op
-    /// without a snapshot directory.
-    fn write_snapshot(&self, session: &Session) -> io::Result<()> {
-        match self.snapshot_path(&session.spec().session) {
-            Some(path) => fsio::write_sealed(&path, &snapshot::encode(&session.snapshot())),
+impl Disk {
+    /// Makes a measurement that advanced `session` durable: appends
+    /// `frame` to the log, or seals the session's snapshot instead when
+    /// there is none yet or the log has grown to [`COMPACT_RATIO`] times
+    /// its size, and then empties the log.
+    fn persist(&mut self, session: &Session, frame: &ClientFrame) -> Result<(), String> {
+        let logged = self.log.as_ref().map_or(0, Log::bytes);
+        if self.sealed > 0 && logged < COMPACT_RATIO * self.sealed {
+            return self
+                .append(&frame.to_line())
+                .map_err(|e| format!("log append failed: {e}"));
+        }
+        let body = snapshot::encode(&session.snapshot());
+        fsio::write_sealed(&self.snapshot, &body)
+            .map_err(|e| format!("snapshot seal failed: {e}"))?;
+        self.sealed = body.len() as u64;
+        match &mut self.log {
+            Some(log) => log
+                .truncate()
+                .map_err(|e| format!("log truncate failed: {e}")),
             None => Ok(()),
         }
     }
 
+    /// Appends one record, opening the log first on a fresh session's
+    /// first append.
+    fn append(&mut self, record: &str) -> Result<(), LogError> {
+        let log = match &mut self.log {
+            Some(log) => log,
+            None => {
+                // Any records are left by a session of the same name
+                // whose snapshot is gone, and the snapshot sealed since
+                // supersedes them.
+                let (mut log, _) = Log::open(&self.snapshot.with_extension("log"))?;
+                log.truncate()?;
+                self.log.insert(log)
+            }
+        };
+        Ok(log.append(record)?)
+    }
+}
+
+impl Shared {
     /// Drops `entry` from the session map, unless the name now maps to
     /// another entry.
     fn unload(&self, name: &str, entry: &Arc<Mutex<Entry>>) {
@@ -211,15 +263,76 @@ impl Shared {
         }
     }
 
-    /// Reads a session's sealed snapshot. `None` when no file exists;
-    /// `Some(Err)` for torn or malformed files.
-    fn load_snapshot(&self, name: &str) -> Option<Result<SessionSnapshot, String>> {
-        let path = self.snapshot_path(name)?;
-        match fsio::read_sealed(&path) {
-            Ok(text) => Some(snapshot::decode(&text).map_err(|e| e.to_string())),
-            Err(SealedFileError::Missing(_)) => None,
-            Err(e) => Some(Err(e.to_string())),
+    /// The session `spec` names as the disk holds it — its sealed
+    /// snapshot with its log replayed on top, or a fresh session when
+    /// no snapshot exists — with its log open.
+    fn load(&self, spec: OpenSpec) -> Result<(Session, Option<Disk>), String> {
+        let Some(dir) = &self.cfg.snapshot_dir else {
+            return Ok((Session::new(spec)?, None));
+        };
+        let snapshot = dir.join(format!("{}.session", spec.session));
+        let text = match fsio::read_sealed(&snapshot) {
+            Ok(text) => text,
+            Err(SealedFileError::Missing(_)) => {
+                let disk = Disk {
+                    snapshot,
+                    sealed: 0,
+                    log: None,
+                };
+                return Ok((Session::new(spec)?, Some(disk)));
+            }
+            Err(e) => return Err(format!("unreadable snapshot: {e}")),
+        };
+        let snap = snapshot::decode(&text).map_err(|e| format!("unreadable snapshot: {e}"))?;
+        if !snap.spec.matches(&spec) {
+            return Err("spec does not match the session snapshot".to_string());
         }
+        let mut session =
+            Session::restore(snap).map_err(|e| format!("snapshot restore failed: {e}"))?;
+        let (log, records) = Log::open(&snapshot.with_extension("log"))
+            .map_err(|e| format!("unreadable log: {e}"))?;
+        let base = session.step();
+        for (i, record) in records.iter().enumerate() {
+            replay(&mut session, base, record)
+                .map_err(|e| format!("unreadable log: record {}: {e}", i + 1))?;
+        }
+        let disk = Disk {
+            snapshot,
+            sealed: text.len() as u64,
+            log: Some(log),
+        };
+        Ok((session, Some(disk)))
+    }
+}
+
+/// Runs a measurement frame through `session`.
+fn measure(session: &mut Session, frame: &ClientFrame) -> Result<Outcome, String> {
+    match frame {
+        ClientFrame::Measure {
+            step, loss, grads, ..
+        } => session.measure(*step, *loss, grads),
+        ClientFrame::MeasureStats {
+            step,
+            loss,
+            sumsq,
+            var_sum,
+            ..
+        } => session.measure_stats(*step, *loss, *sumsq, *var_sum),
+        _ => Err("not a measurement frame".to_string()),
+    }
+}
+
+/// Re-applies one logged frame. Frames below `base`, the snapshot's
+/// step, are sealed in it already: a compaction sealed it and then
+/// crashed before emptying the log.
+fn replay(session: &mut Session, base: u64, record: &str) -> Result<(), String> {
+    match ClientFrame::from_line(record).map_err(|e| e.to_string())? {
+        ClientFrame::Measure { step, .. } | ClientFrame::MeasureStats { step, .. }
+            if step < base =>
+        {
+            Ok(())
+        }
+        frame => measure(session, &frame).map(drop),
     }
 }
 
@@ -340,8 +453,8 @@ fn reaper_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Unloads detached sessions idle past the timeout; their state is
-/// sealed already. Runs entirely under the map lock, with `try_lock` per
+/// Unloads detached sessions idle past the timeout; their state is on
+/// disk already. Runs entirely under the map lock, with `try_lock` per
 /// entry (a contended entry is mid-measurement, hence not idle).
 fn reap_idle(shared: &Shared) {
     let mut map = shared.sessions.lock().expect("serve sessions lock");
@@ -498,22 +611,11 @@ fn process_frame(
     match frame {
         ClientFrame::Open { spec, wire } => process_open(shared, owned, spec, wire),
         ClientFrame::Measure {
-            session,
-            step,
-            loss,
-            grads,
-        } => process_measure(shared, owned, &session, step, |s| {
-            s.measure(step, loss, &grads)
-        }),
-        ClientFrame::MeasureStats {
-            session,
-            step,
-            loss,
-            sumsq,
-            var_sum,
-        } => process_measure(shared, owned, &session, step, |s| {
-            s.measure_stats(step, loss, sumsq, var_sum)
-        }),
+            ref session, step, ..
+        }
+        | ClientFrame::MeasureStats {
+            ref session, step, ..
+        } => process_measure(shared, owned, session, step, &frame),
         ClientFrame::Close { session } => process_close(shared, owned, &session),
         ClientFrame::Ping { token } => {
             // The heartbeat: keep this connection's sessions warm.
@@ -582,28 +684,16 @@ fn process_open(
             format!("session limit reached ({})", shared.cfg.max_sessions),
         );
     }
-    let session = match shared.load_snapshot(&name) {
-        // A sealed snapshot exists: this open is a resume.
-        Some(Ok(snap)) => {
-            if !snap.spec.matches(&spec) {
-                return error(Some(&name), "spec does not match the session snapshot");
-            }
-            match Session::restore(snap) {
-                Ok(s) => s,
-                Err(e) => return error(Some(&name), format!("snapshot restore failed: {e}")),
-            }
-        }
-        Some(Err(e)) => return error(Some(&name), format!("unreadable snapshot: {e}")),
-        None => match Session::new(spec) {
-            Ok(s) => s,
-            Err(e) => return error(Some(&name), e),
-        },
+    let (session, disk) = match shared.load(spec) {
+        Ok(loaded) => loaded,
+        Err(e) => return error(Some(&name), e),
     };
     let step = session.step();
     map.insert(
         name.clone(),
         Arc::new(Mutex::new(Entry {
             session,
+            disk,
             attached: true,
             epoch: 0,
             last_active: Instant::now(),
@@ -617,14 +707,14 @@ fn process_open(
     }
 }
 
-/// Runs one measurement frame (`measure` calls the session with it)
-/// under a compute permit, and seals the session before replying.
+/// Runs one measurement frame for `session` under a compute permit, and
+/// persists it before replying.
 fn process_measure(
     shared: &Shared,
     owned: &HashMap<String, u64>,
     session: &str,
     step: u64,
-    measure: impl FnOnce(&mut Session) -> Result<Outcome, String>,
+    frame: &ClientFrame,
 ) -> ServerFrame {
     let Some(&epoch) = owned.get(session) else {
         return error(Some(session), "session not open on this connection");
@@ -650,26 +740,28 @@ fn process_measure(
         return error(Some(session), "server is draining");
     }
     let before = e.session.step();
-    let outcome = match measure(&mut e.session) {
+    let outcome = match measure(&mut e.session, frame) {
         Err(msg) => return error(Some(session), msg),
         Ok(outcome) => outcome,
     };
     e.last_active = Instant::now();
-    // Sealed before the reply is queued, so an acknowledged measurement
-    // survives SIGKILL. An idempotent replay did not advance the
-    // session, and its state is on disk already.
+    // Persisted before the reply is queued, so an acknowledged
+    // measurement survives SIGKILL. An idempotent replay did not advance
+    // the session, and its state is on disk already.
     if e.session.step() != before {
-        if let Err(err) = shared.write_snapshot(&e.session) {
-            // Memory is now ahead of the last sealed state: unload the
-            // session so the next open reloads that state and the
-            // client replays this step.
-            eprintln!("yf-serve: sealing session {session:?} failed: {err}; unloading it");
+        let state = &mut *e;
+        let persisted = match &mut state.disk {
+            Some(disk) => disk.persist(&state.session, frame),
+            None => Ok(()),
+        };
+        if let Err(err) = persisted {
+            // Memory may now be ahead of the disk: unload the session so
+            // the next open reloads the disk state and the client
+            // replays this step.
+            eprintln!("yf-serve: persisting session {session:?} failed: {err}; unloading it");
             drop(e);
             shared.unload(session, &entry);
-            return error(
-                Some(session),
-                format!("snapshot seal failed, session unloaded: {err}"),
-            );
+            return error(Some(session), format!("{err}; session unloaded"));
         }
     }
     match outcome {
@@ -701,7 +793,7 @@ fn process_close(shared: &Shared, owned: &mut HashMap<String, u64>, session: &st
                 session: session.to_string(),
             };
         }
-        // Its last measurement is sealed already: a closed session can
+        // Its last measurement is on disk already: a closed session can
         // be re-opened later and resumes from there.
         drop(e);
         map.remove(session);

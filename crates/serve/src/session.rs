@@ -8,7 +8,10 @@
 //! same pipeline an in-process trainer would. That determinism is the
 //! whole restart story — resume from a snapshot, replay the measurement
 //! stream from the snapshot's step, and the served [`Hyper`] stream is
-//! bitwise identical to an uninterrupted run.
+//! bitwise identical to an uninterrupted run. The server's own restart
+//! is the same: it restores a session's last sealed snapshot and replays
+//! the logged frames through [`Session::measure`] and
+//! [`Session::measure_stats`].
 //!
 //! ## Two feeds for YellowFin
 //!

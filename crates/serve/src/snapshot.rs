@@ -1,10 +1,13 @@
 //! Bit-exact session snapshots.
 //!
-//! Every session persists as one sealed file (written atomically via
+//! A session's snapshot is one sealed file (written atomically via
 //! [`yf_wire::fsio::write_sealed`], so a SIGKILL mid-write leaves either
 //! the previous snapshot or a `Torn` seal — never a half state). The
-//! payload here is the line-oriented `key value` format the fleet codec
-//! uses, with floats as [`yf_tensor::hex`] bit patterns.
+//! server seals it at the session's first measurement and whenever it
+//! compacts the session's log of later frames, so a snapshot plus that
+//! log is the session's durable state. The payload here is the
+//! line-oriented `key value` format the fleet codec uses, with floats
+//! as [`yf_tensor::hex`] bit patterns.
 //!
 //! ## Format v2
 //!
@@ -533,11 +536,9 @@ mod tests {
         );
     }
 
-    /// Format-freeze pin for the stats feed: a dim-4096 session fed 30
-    /// `measure_stats` frames from a local moment sweep seals a few KB,
-    /// and each frame is one short line, whatever the dimension.
-    #[test]
-    fn stats_fed_snapshot_and_measure_stats_line_bytes_are_frozen() {
+    /// A dim-4096 session fed 30 `measure_stats` frames from a local
+    /// moment sweep, and the line of the last frame.
+    fn stats_pin_session() -> (Session, String) {
         use yellowfin::measurements::GradVariance;
         let (name, dim) = ("pin-4096", 4096);
         let mut session = Session::new(pin_spec(name, dim)).unwrap();
@@ -563,6 +564,15 @@ mod tests {
             }
             .to_line();
         }
+        (session, line)
+    }
+
+    /// Format-freeze pin for the stats feed: a dim-4096 session fed 30
+    /// `measure_stats` frames from a local moment sweep seals a few KB,
+    /// and each frame is one short line, whatever the dimension.
+    #[test]
+    fn stats_fed_snapshot_and_measure_stats_line_bytes_are_frozen() {
+        let (session, line) = stats_pin_session();
         let snap = encode(&session.snapshot());
         assert!(snap.len() < 2600, "stats-fed snapshot is {} B", snap.len());
         assert!(line.len() < 160, "measure_stats line is {} B", line.len());
@@ -574,6 +584,32 @@ mod tests {
             (snap.len(), fnv1a(snap.as_bytes())),
             (2237, 0x0de5_8279_0461_bcda)
         );
+    }
+
+    /// Format-freeze pin for the session log: the record the server
+    /// appends for the last frame of the stats pin. Session logs replay
+    /// across builds only while these bytes stay the same.
+    #[test]
+    fn measure_stats_log_record_bytes_are_frozen() {
+        let (_, line) = stats_pin_session();
+        let dir = std::env::temp_dir().join(format!("yf-serve-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pin-4096.log");
+        let _ = std::fs::remove_file(&path);
+        yf_wire::log::Log::open(&path)
+            .unwrap()
+            .0
+            .append(&line)
+            .unwrap();
+        let record = std::fs::read(&path).unwrap();
+        assert_eq!(record.len(), line.len() + 18);
+        assert_eq!(
+            (record.len(), fnv1a(&record)),
+            (147, 0xffff_d8f3_2827_fbeb),
+            "{}",
+            String::from_utf8_lossy(&record)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A v1 snapshot, sealed by the format before the tuner split from

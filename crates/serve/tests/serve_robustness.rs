@@ -14,11 +14,12 @@ use std::time::Duration;
 use yellowfin::measurements::GradVariance;
 use yf_serve::registry::yellowfin_config;
 use yf_serve::{
-    Authority, Client, ClientConfig, ClientError, FilterSpec, MeasureReply, OpenSpec, Outcome,
-    ServeConfig, Server, ServerFrame, Session, WireDialect,
+    snapshot, Authority, Client, ClientConfig, ClientError, FilterSpec, MeasureReply, OpenSpec,
+    Outcome, ServeConfig, Server, ServerFrame, Session, WireDialect,
 };
 use yf_tensor::reduce;
 use yf_tensor::rng::Pcg32;
+use yf_wire::fsio;
 
 const DIM: usize = 16;
 const OPTIMIZERS: [&str; 4] = ["yellowfin", "momentum", "adam", "rmsprop"];
@@ -250,10 +251,15 @@ fn sigkilled_server_resumes_every_session_bitwise() {
     }
 
     // SIGKILL mid-stream: no drain, no flush, nothing graceful. Every
-    // acknowledged measurement was sealed before its reply, so the
-    // snapshots on disk are complete up to step BEFORE_KILL.
+    // acknowledged measurement was durable before its reply, so each
+    // session's snapshot plus its log is complete up to step
+    // BEFORE_KILL — and the log holds frames, so the restart replays it.
     child.kill().unwrap();
     child.wait().unwrap();
+    for i in 0..8 {
+        let log = std::fs::metadata(dir.join(format!("k{i}.log"))).unwrap();
+        assert!(log.len() > 0, "session k{i} was killed mid-log");
+    }
 
     // Phase 2: a fresh server process over the same snapshot directory.
     let (mut child, addr) = spawn_server_bin(&dir);
@@ -269,7 +275,7 @@ fn sigkilled_server_resumes_every_session_bitwise() {
                 let resume = client.open(open.clone()).unwrap();
                 assert_eq!(
                     resume, BEFORE_KILL as u64,
-                    "session k{i} must resume exactly where its snapshot sealed"
+                    "session k{i} must resume exactly where it was acknowledged"
                 );
                 for (step, want) in want.iter().enumerate().skip(resume as usize) {
                     let reply =
@@ -289,45 +295,96 @@ fn sigkilled_server_resumes_every_session_bitwise() {
 }
 
 #[test]
-fn a_failed_seal_answers_with_an_error_and_the_reopen_replays_bitwise() {
-    // A measurement whose snapshot cannot be sealed must not be
-    // acknowledged: the client gets an error frame, the session is
-    // unloaded, and a re-open resumes from the last sealed step, from
-    // which the replayed stream matches the reference bitwise.
-    let dir = temp_dir("seal-fail");
+fn a_failed_append_answers_with_an_error_and_the_reopen_replays_bitwise() {
+    // A measurement whose log append fails must not be acknowledged:
+    // the client gets an error frame, the session is unloaded, and a
+    // re-open resumes from the last durable step, from which the
+    // replayed stream matches the reference bitwise.
+    let dir = temp_dir("append-fail");
     let server = Server::start(ServeConfig {
         snapshot_dir: Some(dir.clone()),
         ..ServeConfig::default()
     })
     .unwrap();
-    let open = spec("seal", "yellowfin");
+    let open = spec("append", "yellowfin");
     let frames = stream(55, 20);
     let want = reference(&open, &frames);
     let mut client = Client::connect(server.local_addr()).unwrap();
     assert_eq!(client.open(open.clone()).unwrap(), 0);
     for (step, want) in want.iter().enumerate().take(6) {
-        let reply = send_frame(&mut client, "seal", step, &frames, None);
+        let reply = send_frame(&mut client, "append", step, &frames, None);
         reply_matches(&reply, want, &format!("step {step}"));
     }
-    // A directory where the sealed write puts its temporary file fails
-    // that file's creation, even for root.
-    let blocker = dir.join(".seal.session.tmp");
-    std::fs::create_dir(&blocker).unwrap();
-    match client.measure("seal", 6, frames[6].0, &frames[6].1) {
-        Err(ClientError::Server(msg)) => assert!(msg.contains("seal"), "{msg}"),
-        other => panic!("an unsealed measurement must not be acknowledged, got {other:?}"),
+    // A re-open replays the log, and the re-opened log syncs its
+    // directory before its first append writes: with the directory
+    // moved away, that sync — and so the append of step 6 — fails.
+    client.close_session("append").unwrap();
+    assert_eq!(client.open(open.clone()).unwrap(), 6);
+    let moved = dir.with_extension("moved");
+    let _ = std::fs::remove_dir_all(&moved);
+    std::fs::rename(&dir, &moved).unwrap();
+    match client.measure("append", 6, frames[6].0, &frames[6].1) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("log append failed"), "{msg}"),
+        other => panic!("an unlogged measurement must not be acknowledged, got {other:?}"),
     }
-    std::fs::remove_dir(&blocker).unwrap();
+    std::fs::rename(&moved, &dir).unwrap();
     assert_eq!(
         client.open(open).unwrap(),
         6,
-        "the re-open resumes at the last sealed step"
+        "the re-open resumes at the last durable step"
     );
     for (step, want) in want.iter().enumerate().skip(6) {
-        let reply = send_frame(&mut client, "seal", step, &frames, None);
+        let reply = send_frame(&mut client, "append", step, &frames, None);
         reply_matches(&reply, want, &format!("replayed step {step}"));
     }
-    client.close_session("seal").unwrap();
+    client.close_session("append").unwrap();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_compaction_cut_short_before_emptying_the_log_resumes_bitwise() {
+    // A compaction seals the new snapshot and then empties the log. A
+    // crash between the two leaves a snapshot at step 12 beside a log
+    // of frames below it, which the re-open must skip, not re-apply.
+    let dir = temp_dir("compaction");
+    let server = Server::start(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let open = spec("gap", "yellowfin");
+    let frames = stream(66, 30);
+    let stats = stats_stream(&open, &frames);
+    let want = reference(&open, &frames);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.open(open.clone()).unwrap(), 0);
+    for step in 0..11 {
+        send_frame(&mut client, "gap", step, &frames, Some(&stats));
+    }
+    client.close_session("gap").unwrap();
+    assert!(std::fs::metadata(dir.join("gap.log")).unwrap().len() > 0);
+    let mut ahead = Session::new(open.clone()).unwrap();
+    for (step, &(loss, sumsq, var_sum)) in stats.iter().enumerate().take(12) {
+        ahead
+            .measure_stats(step as u64, loss, sumsq, var_sum)
+            .unwrap();
+    }
+    fsio::write_sealed(
+        &dir.join("gap.session"),
+        &snapshot::encode(&ahead.snapshot()),
+    )
+    .unwrap();
+    assert_eq!(client.open(open).unwrap(), 12);
+    for (step, want) in want.iter().enumerate().skip(12) {
+        let reply = send_frame(&mut client, "gap", step, &frames, Some(&stats));
+        reply_matches(
+            &reply,
+            want,
+            &format!("step {step} after the cut compaction"),
+        );
+    }
+    client.close_session("gap").unwrap();
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

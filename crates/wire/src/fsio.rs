@@ -1,16 +1,18 @@
-//! Crash-safe file primitives: atomic whole-file writes and
-//! checksum-sealed reads that reject torn files with typed errors.
+//! Crash-safe file primitives: atomic whole-file writes,
+//! checksum-sealed reads that reject torn files with typed errors, and
+//! the directory fsync that makes a created or renamed file durable.
 //!
-//! Every durable artifact (fleet checkpoints and per-cell results, serve
-//! session snapshots) is written to a temporary sibling, fsynced, and
-//! renamed into place, so a crash at any instant leaves either the old
-//! file or the new one — never a mix. On top of that, sealed files end
-//! with a checksum footer so even a file torn by a non-atomic writer (or
-//! a fault injection simulating one) is detected at load time instead of
-//! producing silent garbage.
+//! Every whole-state artifact (fleet checkpoints and per-cell results,
+//! serve session snapshots) is written to a temporary sibling, fsynced,
+//! and renamed into place, so a crash at any instant leaves either the
+//! old file or the new one — never a mix. On top of that, sealed files
+//! end with a checksum footer so even a file torn by a non-atomic writer
+//! (or a fault injection simulating one) is detected at load time
+//! instead of producing silent garbage. Appended state (serve session
+//! logs, the fleet journal) lives in [`crate::log`] instead.
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -134,7 +136,6 @@ pub fn read_sealed(path: &Path) -> Result<String, SealedFileError> {
 ///
 /// Propagates the underlying I/O error.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -146,29 +147,29 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
-    if let Some(dir) = dir {
-        // Make the rename durable; some filesystems don't support
-        // fsync-on-directory, which is fine to ignore.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    sync_dir(parent_dir(path))
 }
 
-/// Appends `line` (newline added) to `path` and fsyncs, creating the file
-/// if needed — the journal's durability primitive.
+/// The directory holding `path` (`.` for a bare file name).
+pub(crate) fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+/// Fsyncs the directory `dir`, so the entries created in it or renamed
+/// into it so far are durable.
 ///
 /// # Errors
 ///
-/// Propagates the underlying I/O error.
-pub fn append_line_durable(path: &Path, line: &str) -> io::Result<()> {
-    let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-    let mut buf = String::with_capacity(line.len() + 1);
-    buf.push_str(line);
-    buf.push('\n');
-    f.write_all(buf.as_bytes())?;
-    f.sync_data()
+/// Every error of opening or syncing the directory, except the
+/// `EINVAL` with which filesystems that cannot fsync a directory answer.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    match File::open(dir).and_then(|d| d.sync_all()) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => Ok(()),
+        other => other,
+    }
 }
 
 #[cfg(test)]
@@ -222,13 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn append_line_durable_accumulates() {
-        let dir = tmpdir("append");
-        let path = dir.join("journal.jsonl");
-        append_line_durable(&path, "{\"e\":\"a\"}").unwrap();
-        append_line_durable(&path, "{\"e\":\"b\"}").unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"e\":\"a\"}\n{\"e\":\"b\"}\n");
+    fn sync_dir_reports_a_missing_directory() {
+        let dir = tmpdir("syncdir");
+        sync_dir(&dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();
+        assert!(sync_dir(&dir).is_err());
     }
 }

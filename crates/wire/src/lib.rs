@@ -15,6 +15,9 @@
 //!   rename) writes and checksum-sealed loads that reject torn files
 //!   with typed errors. Fleet checkpoints/results and serve session
 //!   snapshots both live behind these.
+//! - [`log`]: the durable append-only log — one self-checking line per
+//!   record, one `fdatasync` per append, and a torn tail cut on open.
+//!   Serve session logs and the fleet journal both live behind it.
 //! - [`sigpipe`]: explicit SIGPIPE suppression so a broken pipe is an
 //!   `EPIPE` error to shed, never a process death.
 //! - [`binary`]: the data-path fast lane — length-prefixed binary
@@ -26,6 +29,7 @@
 pub mod binary;
 pub mod fsio;
 pub mod json;
+pub mod log;
 pub mod sigpipe;
 
 pub use json::{Json, JsonError};
