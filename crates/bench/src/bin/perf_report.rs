@@ -28,11 +28,8 @@
 //! worker-pool dispatches one full tuned optimizer step performs, and
 //! hard-fails unless it is exactly 1 (the fused-runtime contract). It
 //! also records session throughput for the `yf-serve` tuner server —
-//! median ns per measurement over loopback TCP, for both wire dialects
-//! (line JSON and the negotiated binary fast path, each forced
-//! explicitly so the entries are stable under `YF_SERVE_WIRE`), at 1
-//! and at 32 concurrent sessions. The negotiated dialect is recorded in
-//! the header (`serve_wire`). `serve_durable_stats_1_session` times the
+//! median ns per measurement over loopback TCP, at 1 and at 32
+//! concurrent sessions. `serve_durable_stats_1_session` times the
 //! durable path (each measurement logged, or sealed into a snapshot,
 //! before its reply): YellowFin's moments kept by the client and
 //! `measure_stats` frames, against the full-gradient `measure` stream as
@@ -42,14 +39,16 @@
 //! The `hex_f32_*` entries time the float
 //! text codec those JSON frames are made of, against the seed
 //! `format!`/`from_str_radix` codec, and gate like every other kernel.
+//! The `yf_step_vs_momentum_*` entries time a YellowFin step against a
+//! momentum-SGD step on the same gradient, at 4k and at 1M parameters:
+//! the paper's claim that the tuner's overhead is linear in the model
+//! dimension reads as an extra cost per parameter, `(median - seed) /
+//! dim`, that stays flat between the two.
 //!
-//! The serve entries' *speedup* column is contextual (each seed is
-//! re-measured in the same run: the in-process pipeline for the JSON
-//! entries, the same-run JSON wire cost for the binary entries), so the
-//! gate does not band it. Instead `serve_measure_*` entries gate on
-//! **absolute median ns** against the committed baseline, within
-//! `YF_PERF_SERVE_TOL` — and are skipped wholesale (with a warning)
-//! when the baseline's `serve_wire` header does not match this run.
+//! The `serve_measure_*` entries' *speedup* column is contextual (their
+//! seed is the in-process pipeline, re-measured in the same run), so
+//! the gate does not band it. Instead they gate on **absolute median
+//! ns** against the committed baseline, within `YF_PERF_SERVE_TOL`.
 //!
 //! The gate only compares runs at the **same thread count**: speedups of
 //! the parallel kernels scale with cores, so a baseline recorded at a
@@ -69,7 +68,7 @@ use yf_optim::{Adam, Hyper, MomentumSgd, Optimizer, ParamShard};
 use yf_serve::registry::yellowfin_config;
 use yf_serve::{
     snapshot, Authority, Client, ClientConfig, ClientFrame, FilterSpec, OpenSpec, ServeConfig,
-    Server, Session, WireDialect,
+    Server, Session,
 };
 use yf_tensor::gemm::reference as gemm_ref;
 use yf_tensor::hex;
@@ -274,30 +273,22 @@ struct BaselineEntry {
 
 struct Baseline {
     threads: Option<usize>,
-    /// The `serve_wire` header of the baseline run; absent in reports
-    /// from before the binary fast path.
-    serve_wire: Option<String>,
     entries: Vec<BaselineEntry>,
 }
 
 /// Parses the `"name": {"median_ns": .., "seed_median_ns": .., "speedup": ..}`
 /// lines of a previously emitted `BENCH_kernels.json`, plus the
-/// `threads` and `serve_wire` header fields. Hand-rolled because the
-/// format is ours and the build environment is offline.
+/// `threads` header field. Hand-rolled because the format is ours and
+/// the build environment is offline.
 fn parse_baseline(text: &str) -> Baseline {
     let mut base = Baseline {
         threads: None,
-        serve_wire: None,
         entries: Vec::new(),
     };
     for line in text.lines() {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("\"threads\":") {
             base.threads = rest.trim().trim_end_matches(',').parse::<usize>().ok();
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("\"serve_wire\":") {
-            base.serve_wire = Some(rest.trim().trim_matches([',', ' ', '"']).to_string());
             continue;
         }
         if !line.contains("\"median_ns\"") {
@@ -789,6 +780,39 @@ fn main() {
         }
     }
 
+    // --- The paper's "overhead linear to model dimensionality": one
+    // YellowFin step against one momentum-SGD step on the same gradient,
+    // at 4k and at 1M parameters. The speedup is momentum's share of a
+    // YellowFin step; the claim holds when the extra cost per parameter
+    // is flat across the two sizes. A 4k sample covers `reps` steps so a
+    // brief stall is averaged out, and a generator of its own keeps the
+    // serve entries' gradients what they were. ---
+    {
+        let mut rng = Pcg32::seed(1 << 20);
+        let cases: [(&'static str, usize, u128); 2] = [
+            ("yf_step_vs_momentum_4k", 1 << 12, 64),
+            ("yf_step_vs_momentum_1M", 1 << 20, 1),
+        ];
+        for (name, dim, reps) in cases {
+            let grads: Vec<f32> = (0..dim).map(|_| rng.normal() * 0.01).collect();
+            let (mut yf, mut yf_params) = (YellowFin::default(), vec![0.0f32; dim]);
+            let (mut sgd, mut sgd_params) = (MomentumSgd::new(0.01, 0.9), vec![0.0f32; dim]);
+            let (new, seed) = paired_median_ns(
+                || {
+                    for _ in 0..reps {
+                        yf.step(&mut yf_params, &grads);
+                    }
+                },
+                || {
+                    for _ in 0..reps {
+                        sgd.step(&mut sgd_params, &grads);
+                    }
+                },
+            );
+            push(name, new / reps, seed / reps);
+        }
+    }
+
     // --- The float text codec under every JSON measure frame, session
     // snapshot and checkpoint: one dim-4096 gradient row through the
     // table-driven `yf_tensor::hex` vs the seed codec, in ns per row. Each
@@ -835,24 +859,17 @@ fn main() {
 
     // --- Tuning-as-a-service throughput: ns per measurement served
     // through the full yf-serve stack — loopback TCP, quality filter,
-    // observe/combine, authority clamp (snapshots off) — in both wire
-    // dialects, at 1 session and at 32 concurrent sessions. The dialect
-    // is forced per entry through an explicit [`ClientConfig`] so the
-    // numbers do not move under `YF_SERVE_WIRE`.
-    //
-    // Seed columns are contextual (which is why these entries gate on
-    // absolute ns, not the speedup band):
-    // - `serve_measure_{1_session,32_sessions}`: the in-process session
-    //   pipeline — the speedup reads as the fraction of local tuning
-    //   throughput retained over the JSON wire.
-    // - `serve_measure_binary_*`: the same-run JSON wire cost — the
-    //   speedup is the binary fast path's wire gain.
+    // observe/combine, authority clamp (snapshots off) — at 1 session and
+    // at 32 concurrent sessions. The seed column is the in-process
+    // session pipeline, so the speedup reads as the fraction of local
+    // tuning throughput retained over the wire; it is contextual, which
+    // is why these entries gate on absolute ns, not the speedup band.
     //
     // measurements/sec = 1e9 / median_ns. Each timed batch opens fresh
     // sessions (session steps are strictly sequential), so the
     // open/close handshake is amortized over `frames` measurements just
     // like a short training run.
-    let serve_wire: &'static str = {
+    {
         let dim = 4096;
         let frames = 64usize;
         let grads: Vec<Vec<f32>> = (0..frames)
@@ -867,13 +884,6 @@ fn main() {
                 dim,
                 authority: Authority::default(),
                 filter: FilterSpec::default(),
-            }
-        }
-
-        fn wire_cfg(wire: WireDialect) -> ClientConfig {
-            ClientConfig {
-                wire,
-                ..ClientConfig::default()
             }
         }
 
@@ -900,12 +910,11 @@ fn main() {
         })
         .expect("start yf-serve");
         let addr = server.local_addr();
-        let json_cfg = wire_cfg(WireDialect::Json);
-        let bin_cfg = wire_cfg(WireDialect::Binary);
+        let cfg = ClientConfig::default();
         let mut round = 0u64;
 
-        // Seed for the JSON entries: the same measurement stream through
-        // an in-process Session (no wire).
+        // Seed for these entries: the same measurement stream through an
+        // in-process Session (no wire).
         let local_batch = median_ns(|| {
             round += 1;
             let mut s = Session::new(open_spec(format!("local-{round}"), dim)).unwrap();
@@ -915,58 +924,35 @@ fn main() {
         });
         let local = (local_batch / frames as u128).max(1);
 
-        let json_one = {
+        let one = {
             let batch = median_ns(|| {
                 round += 1;
-                stream_one(
-                    addr,
-                    &json_cfg,
-                    open_spec(format!("one-{round}"), dim),
-                    &grads,
-                );
+                stream_one(addr, &cfg, open_spec(format!("one-{round}"), dim), &grads);
             });
             (batch / frames as u128).max(1)
         };
-        push("serve_measure_1_session", json_one, local);
-
-        let bin_one = {
-            let batch = median_ns(|| {
-                round += 1;
-                stream_one(
-                    addr,
-                    &bin_cfg,
-                    open_spec(format!("bin-{round}"), dim),
-                    &grads,
-                );
-            });
-            (batch / frames as u128).max(1)
-        };
-        push("serve_measure_binary_1_session", bin_one, json_one);
+        push("serve_measure_1_session", one, local);
 
         let many = 32usize;
-        let mut stream_many = |cfg: &ClientConfig, tag: &str| {
-            let round = &mut round;
+        let many_ns = {
             let batch = median_ns(|| {
-                *round += 1;
-                let r = *round;
+                round += 1;
+                let r = round;
                 std::thread::scope(|scope| {
                     for t in 0..many {
-                        let grads = &grads;
+                        let (cfg, grads) = (&cfg, &grads);
                         scope.spawn(move || {
-                            stream_one(addr, cfg, open_spec(format!("{tag}{r}-{t}"), dim), grads);
+                            stream_one(addr, cfg, open_spec(format!("s{r}-{t}"), dim), grads);
                         });
                     }
                 });
             });
             (batch / (many * frames) as u128).max(1)
         };
-        let json_many = stream_many(&json_cfg, "s");
-        push("serve_measure_32_sessions", json_many, local);
-        let bin_many = stream_many(&bin_cfg, "b");
-        push("serve_measure_binary_32_sessions", bin_many, json_many);
+        push("serve_measure_32_sessions", many_ns, local);
 
         // The durable path, where every measurement is on disk before
-        // its reply: one JSON session at a time against a server with a
+        // its reply: one session at a time against a server with a
         // snapshot directory. The new side keeps YellowFin's moments
         // locally, sweeps each gradient once (the default configuration
         // never clips, so the sweep scale is 1) and sends
@@ -988,7 +974,7 @@ fn main() {
                 stats_round += 1;
                 let spec = open_spec(format!("stats-{stats_round}"), dim);
                 let name = spec.session.clone();
-                let mut client = Client::connect_with(durable_addr, &json_cfg).expect("connect");
+                let mut client = Client::connect_with(durable_addr, &cfg).expect("connect");
                 client.open(spec).expect("open session");
                 let mut moments = GradVariance::new(yellowfin_config(0.1).beta);
                 for (i, g) in grads.iter().enumerate() {
@@ -1005,7 +991,7 @@ fn main() {
             || {
                 grads_round += 1;
                 let spec = open_spec(format!("grads-{grads_round}"), dim);
-                stream_one(durable_addr, &json_cfg, spec, &grads);
+                stream_one(durable_addr, &cfg, spec, &grads);
             },
         );
         push(
@@ -1050,18 +1036,8 @@ fn main() {
         push("serve_persist_stats_record", append, seal);
         drop(log);
         let _ = std::fs::remove_dir_all(&dir);
-
-        // Record what the server actually negotiated when asked for the
-        // fast path — "binary" unless the server downgraded us.
-        let mut probe = Client::connect_with(addr, &bin_cfg).expect("connect yf-serve");
-        probe
-            .open(open_spec("wire-probe".to_string(), 8))
-            .expect("open probe");
-        let negotiated = probe.wire().as_str();
-        let _ = probe.close_session("wire-probe");
         let _ = server.drain();
-        negotiated
-    };
+    }
 
     // --- Dispatch accounting: one full tuned optimizer step (measure →
     // combine → apply, 1M params, 4 shards) must ride exactly one pool
@@ -1102,7 +1078,6 @@ fn main() {
         "  \"gemm_blocks\": \"{},{},{}\",",
         bl.mc, bl.kc, bl.nc
     );
-    let _ = writeln!(json, "  \"serve_wire\": \"{serve_wire}\",");
     let _ = writeln!(json, "  \"unit\": \"median ns per op\",");
     let _ = writeln!(json, "  \"kernels\": {{");
     for (i, e) in entries.iter().enumerate() {
@@ -1164,38 +1139,26 @@ fn main() {
                 eprintln!("  {name}: {base:.2}x -> {now:.2}x");
             }
         }
-        // The serve entries: absolute ns against the baseline, but only
-        // when the baseline's wire dialect matches this run — comparing
-        // a binary-negotiated run against a JSON baseline (or against a
-        // pre-fast-path report with no serve_wire header) would gate
-        // apples against oranges.
-        if baseline.serve_wire.as_deref() != Some(serve_wire) {
-            eprintln!(
-                "perf gate: WARNING: baseline {path} serve wire is {:?}, this run \
-                 negotiated {serve_wire:?}; skipping the serve_measure_* entries",
-                baseline.serve_wire.as_deref().unwrap_or("unrecorded"),
+        // The serve entries: absolute ns against the baseline.
+        let serve_tol: f64 = std::env::var("YF_PERF_SERVE_TOL")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|t| *t > 0.0)
+            .unwrap_or(0.75);
+        let bad = serve_regressions(&entries, &baseline.entries, serve_tol);
+        if bad.is_empty() {
+            println!(
+                "perf gate: all serve_measure_* entries within {:.0}% of {path}",
+                serve_tol * 100.0
             );
         } else {
-            let serve_tol: f64 = std::env::var("YF_PERF_SERVE_TOL")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|t| *t > 0.0)
-                .unwrap_or(0.75);
-            let bad = serve_regressions(&entries, &baseline.entries, serve_tol);
-            if bad.is_empty() {
-                println!(
-                    "perf gate: all serve_measure_* entries within {:.0}% of {path}",
-                    serve_tol * 100.0
-                );
-            } else {
-                failed = true;
-                eprintln!(
-                    "perf gate: serve throughput regressed >{:.0}% vs {path}:",
-                    serve_tol * 100.0
-                );
-                for (name, base, now) in &bad {
-                    eprintln!("  {name}: {base} ns -> {now} ns");
-                }
+            failed = true;
+            eprintln!(
+                "perf gate: serve throughput regressed >{:.0}% vs {path}:",
+                serve_tol * 100.0
+            );
+            for (name, base, now) in &bad {
+                eprintln!("  {name}: {base} ns -> {now} ns");
             }
         }
         if failed {

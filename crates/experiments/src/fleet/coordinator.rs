@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
-use yf_wire::binary::{self, RawFrame};
+use yf_wire::line::{self, ReadError};
 
 /// What to sweep: the grid axes plus per-cell run settings, with the
 /// workload and optimizer as registry names so worker processes can
@@ -467,19 +467,16 @@ impl Pool {
         std::thread::spawn(move || {
             let mut reader = BufReader::new(output);
             loop {
-                // Mixed-dialect read: the fleet protocol is JSON-only,
-                // so a binary wire frame from a confused peer is
-                // dropped as a typed protocol error, not UTF-8 noise.
-                let line = match binary::read_frame(&mut reader) {
-                    Ok(None) | Err(_) => break,
-                    Ok(Some(RawFrame::Binary(_))) => {
-                        eprintln!(
-                            "fleet: worker {slot}: binary wire frame on the \
-                             fleet link; dropping"
-                        );
+                // A line that is not UTF-8 is consumed whole, so it is
+                // dropped like an unparseable one and the link stays in
+                // sync.
+                let line = match line::read_line(&mut reader) {
+                    Ok(Some(l)) => l,
+                    Err(e @ ReadError::NotUtf8(_)) => {
+                        eprintln!("fleet: worker {slot}: unparseable line ({e}); dropping");
                         continue;
                     }
-                    Ok(Some(RawFrame::Line(l))) => l,
+                    Ok(None) | Err(_) => break,
                 };
                 if line.trim().is_empty() {
                     continue;

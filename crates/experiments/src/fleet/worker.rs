@@ -30,7 +30,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::rc::Rc;
-use yf_wire::binary::{self, RawFrame};
+use yf_wire::line;
 
 /// The worker's reply channel, shared between the request loop and the
 /// heartbeat callback inside a running cell. Single-threaded (the worker
@@ -71,10 +71,9 @@ pub fn worker_tcp(addr: &str) -> i32 {
 /// The transport-agnostic request loop: one [`Request`] line in, `step`
 /// heartbeats and one terminal `done`/`error` line out.
 ///
-/// The fleet link is JSON-only; reading through the mixed-dialect
-/// [`binary::read_frame`] means a stray binary frame (a serve client
-/// dialled at the fleet port) is rejected as a typed protocol error
-/// instead of being misread as UTF-8 garbage.
+/// Requests are read through the capped [`line::read_line`]; a line
+/// past the cap, or one that is not UTF-8, ends the worker with exit
+/// code 1, as any bad request does.
 fn serve<R: BufRead, W: Write>(mut reader: R, writer: W) -> i32 {
     let fault = match FaultPlan::from_env() {
         Ok(f) => f,
@@ -85,19 +84,12 @@ fn serve<R: BufRead, W: Write>(mut reader: R, writer: W) -> i32 {
     };
     let out: Out<W> = Rc::new(RefCell::new(writer));
     loop {
-        let line = match binary::read_frame(&mut reader) {
+        let line = match line::read_line(&mut reader) {
             Ok(None) => break,
-            Ok(Some(RawFrame::Line(l))) => l,
-            Ok(Some(RawFrame::Binary(_))) => {
-                eprintln!(
-                    "yf-fleet-worker: binary wire frame on the fleet link \
-                     (the fleet protocol is JSON-only; is a serve client \
-                     dialling the fleet port?)"
-                );
-                return 1;
-            }
+            Ok(Some(l)) => l,
             Err(e) => {
-                eprintln!("yf-fleet-worker: transport: {e}");
+                // The error names its kind: "transport: ..." or "framing: ...".
+                eprintln!("yf-fleet-worker: {e}");
                 return 1;
             }
         };

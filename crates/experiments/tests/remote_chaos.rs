@@ -52,7 +52,6 @@ fn fast_cfg() -> RemoteTunerConfig {
             connect_timeout: Duration::from_millis(500),
             read_timeout: Duration::from_millis(300),
             write_timeout: Duration::from_millis(500),
-            ..ClientConfig::from_env()
         },
         backoff: Backoff {
             base: Duration::from_millis(10),

@@ -21,28 +21,22 @@
 //!   [`Client::connect_with`]; [`Backoff`] provides the deterministic
 //!   capped-exponential schedule for those retries.
 //!
-//! ## The binary fast path
+//! ## Lock-step measurements
 //!
-//! With `ClientConfig::wire = Binary` (knob: `YF_SERVE_WIRE=binary`)
-//! the client requests the [`yf_wire::binary`] data-plane dialect at
-//! `open` and, once the server echoes it, streams measurements as raw
-//! binary frames. Either way every measurement is one full frame, and
-//! [`Client::measure`] waits for its verdict before the next is sent
-//! (lock-step): its callers need the verdict to produce the next
-//! gradient.
-//!
-//! [`Client::measure_stats`] sends YellowFin's four scalars instead of
-//! the gradient, as one small JSON line in either dialect, and shares
+//! Every measurement is one JSON line, and [`Client::measure`] waits for
+//! its verdict before the next is sent (lock-step): its callers need
+//! the verdict to produce the next gradient. [`Client::measure_stats`]
+//! sends YellowFin's four scalars instead of the gradient and shares
 //! the same verdict loop.
 
-use crate::proto::{self, ClientFrame, OpenSpec, ProtoError, ServerFrame, WireDialect};
+use crate::proto::{ClientFrame, OpenSpec, ProtoError, ServerFrame};
 use std::fmt;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use yf_optim::Hyper;
 use yf_tensor::env;
-use yf_wire::binary::{self, RawFrame, ReadError};
+use yf_wire::line::{self, ReadError};
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -106,10 +100,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Deadline for each blocking write (one request frame).
     pub write_timeout: Duration,
-    /// The data-plane dialect to request at `open`. The connection only
-    /// speaks binary after the server echoes it; against a JSON-only
-    /// server this degrades transparently.
-    pub wire: WireDialect,
 }
 
 impl Default for ClientConfig {
@@ -118,15 +108,14 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(5),
-            wire: WireDialect::Json,
         }
     }
 }
 
 impl ClientConfig {
-    /// The defaults with `YF_SERVE_CLIENT_CONNECT_MS`, `_READ_MS`,
-    /// `_WRITE_MS`, and `YF_SERVE_WIRE` applied (hardened parsing:
-    /// malformed values warn on stderr and fall back).
+    /// The defaults with `YF_SERVE_CLIENT_CONNECT_MS`, `_READ_MS`, and
+    /// `_WRITE_MS` applied (hardened parsing: malformed values warn on
+    /// stderr and fall back).
     pub fn from_env() -> ClientConfig {
         let mut cfg = ClientConfig::default();
         let ms = |raw: &str| raw.trim().parse::<u64>().ok().filter(|&n| n > 0);
@@ -139,7 +128,6 @@ impl ClientConfig {
         if let Some(n) = env::parse_with("YF_SERVE_CLIENT_WRITE_MS", ms) {
             cfg.write_timeout = Duration::from_millis(n);
         }
-        cfg.wire = WireDialect::from_env();
         cfg
     }
 }
@@ -187,18 +175,11 @@ pub enum MeasureReply {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The dialect requested in `open` frames.
-    requested: WireDialect,
-    /// The dialect the server has actually echoed (starts Json; flips
-    /// to Binary on the first `opened` ack that grants it).
-    negotiated: WireDialect,
 }
 
 impl Client {
     /// Connects to a running server with the environment-configured
-    /// deadlines and dialect ([`ClientConfig::from_env`]), so
-    /// `YF_SERVE_WIRE` reaches every caller that does not construct an
-    /// explicit config.
+    /// deadlines ([`ClientConfig::from_env`]).
     ///
     /// # Errors
     ///
@@ -232,8 +213,6 @@ impl Client {
                     return Ok(Client {
                         reader,
                         writer: stream,
-                        requested: cfg.wire,
-                        negotiated: WireDialect::Json,
                     });
                 }
                 Err(e) => last = e,
@@ -255,8 +234,7 @@ impl Client {
         Ok(())
     }
 
-    /// Blocks (up to the read deadline) for the next server frame, in
-    /// either dialect.
+    /// Blocks (up to the read deadline) for the next server frame.
     ///
     /// # Errors
     ///
@@ -264,25 +242,15 @@ impl Client {
     /// [`ClientError::Timeout`]. After a timeout the connection is
     /// poisoned (a partial frame may have been consumed): reconnect.
     pub fn recv(&mut self) -> Result<ServerFrame, ClientError> {
-        match binary::read_frame(&mut self.reader) {
+        match line::read_line(&mut self.reader) {
             Ok(None) => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ))),
-            Ok(Some(RawFrame::Line(line))) => Ok(ServerFrame::from_line(&line)?),
-            Ok(Some(RawFrame::Binary(raw))) => {
-                let (tag, payload) = binary::decode(&raw).map_err(ProtoError::from)?;
-                Ok(ServerFrame::from_binary(tag, payload)?)
-            }
+            Ok(Some(line)) => Ok(ServerFrame::from_line(&line)?),
             Err(ReadError::Io(e)) => Err(e.into()),
             Err(e) => Err(ClientError::Protocol(e.to_string())),
         }
-    }
-
-    /// The data-plane dialect the server has granted this connection
-    /// (Json until an `opened` ack says otherwise).
-    pub fn wire(&self) -> WireDialect {
-        self.negotiated
     }
 
     /// Opens (or resumes) a session; returns the step index the server
@@ -290,31 +258,15 @@ impl Client {
     /// resume. Stale replies to earlier requests (duplicates left over
     /// from a chaotic network) are skipped, not misread.
     ///
-    /// This is also where the wire dialect is negotiated: the `open`
-    /// carries [`ClientConfig::wire`], and the connection speaks binary
-    /// only after the server's `opened` echoes it.
-    ///
     /// # Errors
     ///
     /// [`ClientError::Server`] relays the server's rejection reason.
     pub fn open(&mut self, spec: OpenSpec) -> Result<u64, ClientError> {
         let name = spec.session.clone();
-        self.send(&ClientFrame::Open {
-            spec,
-            wire: self.requested,
-        })?;
+        self.send(&ClientFrame::Open { spec })?;
         loop {
             match self.recv()? {
-                ServerFrame::Opened {
-                    session,
-                    step,
-                    wire,
-                } if session == name => {
-                    if self.requested == WireDialect::Binary && wire == WireDialect::Binary {
-                        self.negotiated = WireDialect::Binary;
-                    }
-                    return Ok(step);
-                }
+                ServerFrame::Opened { session, step } if session == name => return Ok(step),
                 // Leftover replies to requests sent before this open
                 // (duplicated or late frames): skip.
                 ServerFrame::Opened { .. }
@@ -332,8 +284,8 @@ impl Client {
         }
     }
 
-    /// Streams one measurement as a full frame in the negotiated
-    /// dialect and blocks for the verdict for exactly `(session, step)`.
+    /// Streams one measurement as a full frame and blocks for the
+    /// verdict for exactly `(session, step)`.
     /// Replies to earlier steps — duplicates from retries or a chaotic
     /// network — are skipped; a reply for this or a later step that is
     /// not ours is a protocol error.
@@ -350,17 +302,12 @@ impl Client {
         loss: f32,
         grads: &[f32],
     ) -> Result<MeasureReply, ClientError> {
-        if self.negotiated == WireDialect::Binary {
-            self.writer
-                .write_all(&proto::encode_measure(session, step, loss, grads))?;
-        } else {
-            self.send(&ClientFrame::Measure {
-                session: session.to_string(),
-                step,
-                loss,
-                grads: grads.to_vec(),
-            })?;
-        }
+        self.send(&ClientFrame::Measure {
+            session: session.to_string(),
+            step,
+            loss,
+            grads: grads.to_vec(),
+        })?;
         self.verdict(session, step)
     }
 
@@ -539,17 +486,6 @@ mod tests {
         );
         std::env::remove_var("YF_SERVE_CLIENT_CONNECT_MS");
         std::env::remove_var("YF_SERVE_CLIENT_READ_MS");
-    }
-
-    #[test]
-    fn wire_env_knob_uses_hardened_parsing() {
-        std::env::set_var("YF_SERVE_WIRE", "binary");
-        let cfg = ClientConfig::from_env();
-        assert_eq!(cfg.wire, WireDialect::Binary);
-        std::env::set_var("YF_SERVE_WIRE", "quantum");
-        let cfg = ClientConfig::from_env();
-        assert_eq!(cfg.wire, WireDialect::Json, "malformed falls back");
-        std::env::remove_var("YF_SERVE_WIRE");
     }
 
     #[test]

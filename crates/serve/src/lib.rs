@@ -1,10 +1,9 @@
 //! # yf-serve: tuning-as-a-service over TCP
 //!
 //! A long-running server hosting many concurrent YellowFin tuning
-//! sessions. Clients speak the shared [`yf_wire`] dialect — JSON
-//! control frames (line-delimited, floats as hex bit patterns) plus an
-//! optional binary data plane ([`yf_wire::binary`] frames, negotiated
-//! per connection at `open`): open a session naming an optimizer and a
+//! sessions. Clients speak the shared [`yf_wire`] dialect — one JSON
+//! frame per line, floats as hex bit patterns, read through the capped
+//! [`yf_wire::line`] reader: open a session naming an optimizer and a
 //! safety envelope, stream `(step, loss, gradient)` measurements — or,
 //! for YellowFin, the four scalars `(step, loss, Σg², C)` its tuning
 //! decision reads — and receive the tuned, authority-clamped `(lr,
@@ -54,7 +53,7 @@ pub use authority::Authority;
 pub use chaos::{ChaosDir, ChaosFault, ChaosKind, ChaosProxy, ChaosSpec};
 pub use client::{Backoff, Client, ClientConfig, ClientError, MeasureReply};
 pub use filter::{FilterSpec, QualityFilter};
-pub use proto::{ClientFrame, OpenSpec, ProtoError, ServerFrame, WireDialect};
+pub use proto::{ClientFrame, OpenSpec, ProtoError, ServerFrame};
 pub use server::{ServeConfig, Server};
 pub use session::{Outcome, Session};
 pub use snapshot::SessionSnapshot;

@@ -1,12 +1,12 @@
 //! The serve wire protocol: line-delimited JSON frames in the shared
 //! [`yf_wire`] dialect (floats as [`yf_tensor::hex`] bit patterns, one
-//! frame per line), plus a binary fast path for the data plane.
+//! frame per line).
 //!
 //! A client opens named sessions over one TCP connection and streams
 //! per-step measurements; the server answers each accepted measurement
 //! with the tuned, authority-clamped [`Hyper`] for that step. Frames are
-//! self-describing (`"type"` field, or the binary magic byte), so one
-//! connection freely interleaves traffic for many sessions.
+//! self-describing (`"type"` field), so one connection freely
+//! interleaves traffic for many sessions.
 //!
 //! Client → server: `open`, `measure`, `measure_stats`, `close`, `ping`,
 //! `drain`. Server → client: `opened`, `hyper`, `rejected`, `closed`,
@@ -21,37 +21,22 @@
 //!   the variance total `C` of the client's own gradient moments — as
 //!   one JSON line of about 130 bytes whatever the model dimension. Only
 //!   yellowfin sessions take it, and a session takes one kind of
-//!   measurement frame for its whole life. It is a JSON line on either
-//!   dialect, answered by the same `hyper`/`rejected` frames.
+//!   measurement frame for its whole life. It is answered by the same
+//!   `hyper`/`rejected` frames.
 //!
-//! ## Dialects
+//! ## One dialect
 //!
-//! Control frames (everything except `measure`/`hyper`/`rejected`)
-//! always travel as JSON lines — they are rare, small, and worth
-//! keeping greppable. The gradient *data plane* has two encodings,
-//! negotiated per connection at `open`:
-//!
-//! - **json** (default): the PR 8 line protocol, hex-bit floats.
-//! - **binary**: [`yf_wire::binary`] frames with raw little-endian f32
-//!   bit patterns — `measure` ([`TAG_MEASURE`]), `hyper`
-//!   ([`TAG_TUNED`]) and `rejected` ([`TAG_REJECTED`]). Every
-//!   measurement carries its full gradient; tag 2 (a retired
-//!   gradient-delta frame) is an unknown tag.
-//!
-//! A client requests the binary dialect with `"wire":"binary"` in its
-//! `open` frame; the server echoes the dialect it will actually speak
-//! in `opened`. Peers that never send the field get byte-identical
-//! PR 8 behavior. The server answers each data frame in the dialect
-//! the frame arrived in, so negotiation is a client-side capability
-//! probe, not a mode switch.
+//! Every frame is one JSON line. The decoders ignore fields they do not
+//! know, so an `open` from an older client that still asks for a binary
+//! data plane with `"wire":"binary"` parses like any other and is
+//! answered with a plain `opened`; such a client reads that as "JSON
+//! only" and keeps speaking JSON.
 
 use crate::authority::Authority;
 use crate::filter::FilterSpec;
 use std::fmt;
 use yf_optim::Hyper;
-use yf_tensor::env;
 use yf_tensor::hex::{f32_hex, f32_row, f32_unhex, f32_unrow, f64_hex, f64_unhex, HexError};
-use yf_wire::binary::{self, BinError, Builder, Cursor};
 use yf_wire::json::{self, Json, JsonError};
 
 /// Error decoding a protocol frame.
@@ -81,57 +66,6 @@ impl From<JsonError> for ProtoError {
 impl From<HexError> for ProtoError {
     fn from(e: HexError) -> ProtoError {
         ProtoError(e.to_string())
-    }
-}
-
-impl From<BinError> for ProtoError {
-    fn from(e: BinError) -> ProtoError {
-        ProtoError(e.to_string())
-    }
-}
-
-/// The data-plane encoding a connection speaks. Control frames are
-/// JSON in either dialect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireDialect {
-    /// Line JSON with hex-bit floats (the PR 8 protocol; default).
-    #[default]
-    Json,
-    /// [`yf_wire::binary`] frames with raw LE f32 payloads.
-    Binary,
-}
-
-impl WireDialect {
-    /// The wire spelling, as carried in `open`/`opened` frames and
-    /// recorded in perf-report headers.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WireDialect::Json => "json",
-            WireDialect::Binary => "binary",
-        }
-    }
-
-    /// The dialect clients request by default, from `YF_SERVE_WIRE`
-    /// (`json` or `binary`). Unset or unparseable values fall back to
-    /// [`WireDialect::Json`] with a warning, never a panic.
-    pub fn from_env() -> WireDialect {
-        env::parse_with("YF_SERVE_WIRE", |raw| match raw.trim() {
-            "json" => Some(WireDialect::Json),
-            "binary" => Some(WireDialect::Binary),
-            _ => None,
-        })
-        .unwrap_or_default()
-    }
-}
-
-/// Parses the optional `"wire"` field of `open`/`opened` frames.
-/// Absent means JSON (the pre-negotiation protocol); unknown values
-/// also mean JSON, so a peer requesting a dialect we do not know is
-/// answered in the one every peer speaks.
-fn wire_field(v: &Json) -> WireDialect {
-    match v.get("wire").and_then(Json::as_str) {
-        Some("binary") => WireDialect::Binary,
-        _ => WireDialect::Json,
     }
 }
 
@@ -200,10 +134,7 @@ impl OpenSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientFrame {
     /// Create, re-attach, or resume-from-snapshot a named session.
-    /// `wire` is the data-plane dialect this connection would like to
-    /// speak; JSON-only clients omit the field (and the encoder omits
-    /// it for them, keeping their bytes identical to PR 8).
-    Open { spec: OpenSpec, wire: WireDialect },
+    Open { spec: OpenSpec },
     /// One measurement: the session's next step index, the minibatch
     /// loss, and the full flat gradient.
     Measure {
@@ -236,14 +167,7 @@ pub enum ClientFrame {
 pub enum ServerFrame {
     /// Session ready; `step` is the next measurement index the server
     /// expects (0 for a fresh session, the resume point otherwise).
-    /// `wire` echoes the data-plane dialect the server will speak on
-    /// this connection; the field is omitted on the wire for JSON, so
-    /// JSON-only peers see byte-identical PR 8 frames.
-    Opened {
-        session: String,
-        step: u64,
-        wire: WireDialect,
-    },
+    Opened { session: String, step: u64 },
     /// The authority-clamped hyperparameters tuned from an accepted
     /// measurement. `clamped` reports whether the authority layer
     /// altered the tuner's raw proposal.
@@ -323,21 +247,15 @@ impl ClientFrame {
     /// Serializes to one newline-free JSON line.
     pub fn to_line(&self) -> String {
         let json = match self {
-            ClientFrame::Open { spec, wire } => {
-                let mut pairs = vec![
-                    ("type", Json::str("open")),
-                    ("session", Json::str(&spec.session)),
-                    ("optimizer", Json::str(&spec.optimizer)),
-                    ("value", Json::str(f32_hex(spec.value))),
-                    ("dim", Json::u64(spec.dim as u64)),
-                    ("authority", authority_json(&spec.authority)),
-                    ("filter", filter_json(&spec.filter)),
-                ];
-                if *wire != WireDialect::Json {
-                    pairs.push(("wire", Json::str(wire.as_str())));
-                }
-                Json::obj(pairs)
-            }
+            ClientFrame::Open { spec } => Json::obj(vec![
+                ("type", Json::str("open")),
+                ("session", Json::str(&spec.session)),
+                ("optimizer", Json::str(&spec.optimizer)),
+                ("value", Json::str(f32_hex(spec.value))),
+                ("dim", Json::u64(spec.dim as u64)),
+                ("authority", authority_json(&spec.authority)),
+                ("filter", filter_json(&spec.filter)),
+            ]),
             ClientFrame::Measure {
                 session,
                 step,
@@ -405,7 +323,6 @@ impl ClientFrame {
                         authority,
                         filter,
                     },
-                    wire: wire_field(&v),
                 })
             }
             "measure" => Ok(ClientFrame::Measure {
@@ -437,21 +354,11 @@ impl ServerFrame {
     /// Serializes to one newline-free JSON line.
     pub fn to_line(&self) -> String {
         let json = match self {
-            ServerFrame::Opened {
-                session,
-                step,
-                wire,
-            } => {
-                let mut pairs = vec![
-                    ("type", Json::str("opened")),
-                    ("session", Json::str(session)),
-                    ("step", Json::u64(*step)),
-                ];
-                if *wire != WireDialect::Json {
-                    pairs.push(("wire", Json::str(wire.as_str())));
-                }
-                Json::obj(pairs)
-            }
+            ServerFrame::Opened { session, step } => Json::obj(vec![
+                ("type", Json::str("opened")),
+                ("session", Json::str(session)),
+                ("step", Json::u64(*step)),
+            ]),
             ServerFrame::Tuned {
                 session,
                 step,
@@ -511,7 +418,6 @@ impl ServerFrame {
             "opened" => Ok(ServerFrame::Opened {
                 session: v.str_field("session")?.to_string(),
                 step: v.u64_field("step")?,
-                wire: wire_field(&v),
             }),
             "hyper" => Ok(ServerFrame::Tuned {
                 session: v.str_field("session")?.to_string(),
@@ -546,144 +452,6 @@ impl ServerFrame {
     }
 }
 
-/// Binary frame tag: a full-gradient `measure`. Payload layout (all
-/// LE): `str16 session | u64 step | u32 loss_bits | u32 count |
-/// count x u32 grad_bits`.
-pub const TAG_MEASURE: u8 = 1;
-
-/// Binary frame tag: a `hyper` verdict. Payload: `str16 session | u64
-/// step | u32 lr_bits | u32 momentum_bits | u32 grad_scale_bits |
-/// u8 clamped`.
-pub const TAG_TUNED: u8 = 3;
-
-/// Binary frame tag: a `rejected` verdict. Payload: `str16 session |
-/// u64 step | str16 reason`.
-pub const TAG_REJECTED: u8 = 4;
-
-/// Encodes a full-gradient measurement as one [`TAG_MEASURE`] frame.
-pub fn encode_measure(session: &str, step: u64, loss: f32, grads: &[f32]) -> Vec<u8> {
-    let mut b = Builder::new();
-    b.str16(session)
-        .u64(step)
-        .u32(loss.to_bits())
-        .u32(grads.len() as u32)
-        .f32_words(grads);
-    binary::frame(TAG_MEASURE, &b.into_payload())
-}
-
-/// Decodes a client binary data frame (already [`yf_wire::binary::decode`]d
-/// into tag + payload) into the [`ClientFrame::Measure`] it carries.
-///
-/// # Errors
-///
-/// [`ProtoError`] on server-only tags, unknown tags, or malformed
-/// payloads; never panics.
-pub fn decode_bin_measure(tag: u8, payload: &[u8]) -> Result<ClientFrame, ProtoError> {
-    let mut c = Cursor::new(payload);
-    match tag {
-        TAG_MEASURE => {
-            let session = c.str16()?.to_string();
-            let step = c.u64()?;
-            let loss = f32::from_bits(c.u32()?);
-            let count = c.u32()? as usize;
-            let bytes =
-                c.take(count.checked_mul(4).ok_or_else(|| {
-                    ProtoError::new(format!("gradient count {count} overflows"))
-                })?)?;
-            c.finish()?;
-            let grads = bytes
-                .chunks_exact(4)
-                .map(|w| f32::from_bits(u32::from_le_bytes(w.try_into().expect("4-byte chunk"))))
-                .collect();
-            Ok(ClientFrame::Measure {
-                session,
-                step,
-                loss,
-                grads,
-            })
-        }
-        TAG_TUNED | TAG_REJECTED => Err(ProtoError::new(format!(
-            "server-to-client frame tag {tag} on the client-to-server path"
-        ))),
-        other => Err(BinError::BadTag(other).into()),
-    }
-}
-
-impl ServerFrame {
-    /// The binary encoding of a data-plane verdict, or `None` for
-    /// control frames, which always travel as JSON regardless of the
-    /// negotiated dialect.
-    pub fn to_binary(&self) -> Option<Vec<u8>> {
-        match self {
-            ServerFrame::Tuned {
-                session,
-                step,
-                hyper,
-                clamped,
-            } => {
-                let mut b = Builder::new();
-                b.str16(session)
-                    .u64(*step)
-                    .u32(hyper.lr.to_bits())
-                    .u32(hyper.momentum.to_bits())
-                    .u32(hyper.grad_scale.to_bits())
-                    .u8(u8::from(*clamped));
-                Some(binary::frame(TAG_TUNED, &b.into_payload()))
-            }
-            ServerFrame::Rejected {
-                session,
-                step,
-                reason,
-            } => {
-                let mut b = Builder::new();
-                b.str16(session).u64(*step).str16(reason);
-                Some(binary::frame(TAG_REJECTED, &b.into_payload()))
-            }
-            _ => None,
-        }
-    }
-
-    /// Decodes a server binary data frame (already split into tag +
-    /// payload by [`yf_wire::binary::decode`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError`] on client-only tags, unknown tags, or malformed
-    /// payloads; never panics.
-    pub fn from_binary(tag: u8, payload: &[u8]) -> Result<ServerFrame, ProtoError> {
-        let mut c = Cursor::new(payload);
-        match tag {
-            TAG_TUNED => {
-                let frame = ServerFrame::Tuned {
-                    session: c.str16()?.to_string(),
-                    step: c.u64()?,
-                    hyper: Hyper {
-                        lr: f32::from_bits(c.u32()?),
-                        momentum: f32::from_bits(c.u32()?),
-                        grad_scale: f32::from_bits(c.u32()?),
-                    },
-                    clamped: c.u8()? != 0,
-                };
-                c.finish()?;
-                Ok(frame)
-            }
-            TAG_REJECTED => {
-                let frame = ServerFrame::Rejected {
-                    session: c.str16()?.to_string(),
-                    step: c.u64()?,
-                    reason: c.str16()?.to_string(),
-                };
-                c.finish()?;
-                Ok(frame)
-            }
-            TAG_MEASURE => Err(ProtoError::new(format!(
-                "client-to-server frame tag {tag} on the server-to-client path"
-            ))),
-            other => Err(BinError::BadTag(other).into()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,14 +470,7 @@ mod tests {
     #[test]
     fn client_frames_round_trip() {
         let frames = vec![
-            ClientFrame::Open {
-                spec: spec(),
-                wire: WireDialect::Json,
-            },
-            ClientFrame::Open {
-                spec: spec(),
-                wire: WireDialect::Binary,
-            },
+            ClientFrame::Open { spec: spec() },
             ClientFrame::Measure {
                 session: "s-1".to_string(),
                 step: 7,
@@ -745,12 +506,6 @@ mod tests {
             ServerFrame::Opened {
                 session: "a".to_string(),
                 step: 12,
-                wire: WireDialect::Json,
-            },
-            ServerFrame::Opened {
-                session: "a".to_string(),
-                step: 3,
-                wire: WireDialect::Binary,
             },
             ServerFrame::Tuned {
                 session: "a".to_string(),
@@ -789,32 +544,22 @@ mod tests {
     #[test]
     fn open_defaults_when_envelope_omitted() {
         let line = r#"{"type":"open","session":"s","optimizer":"sgd","value":"3dcccccd","dim":2}"#;
-        let ClientFrame::Open { spec, wire } = ClientFrame::from_line(line).unwrap() else {
+        let ClientFrame::Open { spec } = ClientFrame::from_line(line).unwrap() else {
             panic!("expected open");
         };
         assert_eq!(spec.authority.bits(), Authority::default().bits());
         assert_eq!(spec.filter.bits(), FilterSpec::default().bits());
-        assert_eq!(
-            wire,
-            WireDialect::Json,
-            "no wire field means the PR 8 dialect"
-        );
     }
 
     #[test]
     fn json_dialect_frames_are_byte_identical_to_the_pre_negotiation_protocol() {
-        // A JSON-only peer must see exactly the bytes PR 8 shipped: no
-        // "wire" key anywhere.
-        let open = ClientFrame::Open {
-            spec: spec(),
-            wire: WireDialect::Json,
-        }
-        .to_line();
-        assert!(!open.contains("wire"), "json open grew a field: {open}");
+        // A peer sees exactly the bytes PR 8 shipped: no "wire" key
+        // anywhere.
+        let open = ClientFrame::Open { spec: spec() }.to_line();
+        assert!(!open.contains("wire"), "open grew a field: {open}");
         let opened = ServerFrame::Opened {
             session: "s-1".to_string(),
             step: 4,
-            wire: WireDialect::Json,
         }
         .to_line();
         assert_eq!(opened, r#"{"type":"opened","session":"s-1","step":4}"#);
@@ -822,19 +567,22 @@ mod tests {
 
     #[test]
     fn unknown_requested_dialects_downgrade_to_json() {
-        let line = r#"{"type":"open","session":"s","optimizer":"sgd","value":"3dcccccd","dim":2,"wire":"quantum"}"#;
-        let ClientFrame::Open { wire, .. } = ClientFrame::from_line(line).unwrap() else {
-            panic!("expected open");
-        };
-        assert_eq!(wire, WireDialect::Json);
+        // An open that asks for a dialect, known once or never, parses
+        // to the same frame as one that does not ask.
+        let plain = r#"{"type":"open","session":"s","optimizer":"sgd","value":"3dcccccd","dim":2"#;
+        let want = ClientFrame::from_line(&format!("{plain}}}")).unwrap();
+        for wire in ["binary", "quantum"] {
+            let line = format!(r#"{plain},"wire":"{wire}"}}"#);
+            assert_eq!(ClientFrame::from_line(&line).unwrap(), want, "{line}");
+        }
     }
 
     #[test]
-    fn json_measure_lines_for_any_binary_sized_gradient_fit_the_line_cap() {
+    fn json_measure_lines_of_a_2_pow_24_gradient_fit_the_line_cap() {
         // A JSON measure line costs 9 bytes per float plus an envelope
         // that does not grow with the gradient; the reader's line cap
-        // must admit the line of every gradient a binary frame can carry.
-        // Lengths count the newline, as MAX_LINE does.
+        // must admit the line of a 2^24-element gradient. Lengths count
+        // the newline, as MAX_LINE does.
         let line_len = |n: usize| {
             ClientFrame::Measure {
                 session: "s".repeat(128),
@@ -849,100 +597,7 @@ mod tests {
         let per_float = line_len(2) - line_len(1);
         assert_eq!(per_float, 9);
         let envelope = line_len(1) - per_float;
-        let max_floats = binary::MAX_PAYLOAD / 4;
-        assert!(max_floats * per_float + envelope <= binary::MAX_LINE);
-    }
-
-    #[test]
-    fn binary_measure_frames_round_trip_bit_exactly() {
-        let grads = vec![1.0f32, f32::NAN, -0.0, f32::INFINITY, 3.5e-41];
-        let frame = encode_measure("sess.a", 42, f32::NAN, &grads);
-        let (tag, payload) = binary::decode(&frame).unwrap();
-        let ClientFrame::Measure {
-            session,
-            step,
-            loss,
-            grads: back,
-        } = decode_bin_measure(tag, payload).unwrap()
-        else {
-            panic!("expected a measure");
-        };
-        assert_eq!(session, "sess.a");
-        assert_eq!(step, 42);
-        assert!(loss.is_nan());
-        assert_eq!(back.len(), grads.len());
-        for (a, b) in back.iter().zip(grads.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn binary_verdict_frames_round_trip() {
-        let frames = [
-            ServerFrame::Tuned {
-                session: "a".to_string(),
-                step: 12,
-                hyper: Hyper {
-                    lr: 0.015625,
-                    momentum: 0.875,
-                    grad_scale: 1.0,
-                },
-                clamped: true,
-            },
-            ServerFrame::Rejected {
-                session: "a".to_string(),
-                step: 13,
-                reason: "gradient-norm outlier".to_string(),
-            },
-        ];
-        for f in frames {
-            let bin = f.to_binary().unwrap();
-            let (tag, payload) = binary::decode(&bin).unwrap();
-            assert_eq!(ServerFrame::from_binary(tag, payload).unwrap(), f);
-        }
-    }
-
-    #[test]
-    fn control_frames_have_no_binary_encoding() {
-        assert!(ServerFrame::Closed {
-            session: "a".to_string()
-        }
-        .to_binary()
-        .is_none());
-        assert!(ServerFrame::Pong { token: 1 }.to_binary().is_none());
-        assert!(ServerFrame::Error {
-            session: None,
-            message: "x".to_string()
-        }
-        .to_binary()
-        .is_none());
-    }
-
-    #[test]
-    fn binary_decoders_reject_wrong_direction_and_unknown_tags() {
-        assert!(decode_bin_measure(TAG_TUNED, &[]).is_err());
-        assert!(decode_bin_measure(99, &[]).is_err());
-        assert!(ServerFrame::from_binary(TAG_MEASURE, &[]).is_err());
-        assert!(ServerFrame::from_binary(99, &[]).is_err());
-        // Tag 2 is the retired gradient-delta frame: whatever an older
-        // client put in its payload (`session | step | loss | dim |
-        // runs`), either direction answers with the typed BadTag.
-        let mut old = Builder::new();
-        old.str16("s")
-            .u64(3)
-            .u32(0.25f32.to_bits())
-            .u32(7)
-            .u32(7)
-            .u32(0);
-        let old = old.into_payload();
-        let bad_tag: ProtoError = BinError::BadTag(2).into();
-        assert_eq!(decode_bin_measure(2, &old), Err(bad_tag.clone()));
-        assert_eq!(ServerFrame::from_binary(2, &old), Err(bad_tag));
-        // Truncated payloads are typed errors, not panics.
-        let frame = encode_measure("s", 0, 0.5, &[1.0, 2.0]);
-        let (tag, payload) = binary::decode(&frame).unwrap();
-        assert!(decode_bin_measure(tag, &payload[..payload.len() - 3]).is_err());
-        assert!(ServerFrame::from_binary(TAG_TUNED, &[0, 0, 1]).is_err());
+        assert!((1 << 24) * per_float + envelope <= yf_wire::line::MAX_LINE);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! sealed snapshot `<name>.session`, and a [`Log`] `<name>.log` of the
 //! measurement frames accepted since. The first advancing measurement
 //! seals the snapshot; each later one appends its frame, as a canonical
-//! JSON line whatever dialect it arrived in, for one `fdatasync`; and
+//! JSON line, for one `fdatasync`; and
 //! once the log reaches `COMPACT_RATIO` (4) times the snapshot's size,
 //! the measurement seals a new snapshot and empties the log instead. An
 //! `open` restores the snapshot and replays the log through the same
@@ -36,7 +36,7 @@
 //! never an acknowledgment, and the session is unloaded, so the next
 //! `open` reloads the disk state and the client replays.
 
-use crate::proto::{self, ClientFrame, OpenSpec, ServerFrame, WireDialect};
+use crate::proto::{ClientFrame, OpenSpec, ServerFrame};
 use crate::session::{Outcome, Session};
 use crate::snapshot;
 use std::collections::HashMap;
@@ -49,8 +49,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use yf_tensor::{env, parallel};
-use yf_wire::binary::{self, RawFrame};
 use yf_wire::fsio::{self, SealedFileError};
+use yf_wire::line::{self, ReadError};
 use yf_wire::log::{Log, LogError};
 
 /// A session log this many times the size of its last sealed snapshot is
@@ -489,9 +489,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(mut write_half) = stream.try_clone() else {
         return;
     };
-    // Replies are pre-encoded bytes (a JSON line with its newline, or a
-    // complete binary frame), so the writer thread stays
-    // dialect-oblivious.
+    // Replies are pre-encoded JSON lines, newline included.
     let (tx, rx) = sync_channel::<Vec<u8>>(shared.cfg.outbound_queue.max(1));
     let writer = std::thread::Builder::new()
         .name("yf-serve-writer".to_string())
@@ -514,25 +512,22 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // frames off once another connection takes a session over.
     let mut owned: HashMap<String, u64> = HashMap::new();
     let mut reader = BufReader::new(read_half);
-    // The mixed-dialect reader: a 0xF5 byte starts a binary frame,
-    // anything else a JSON line. Unframable binary traffic and lines
-    // past the length cap cannot be re-synchronized, so an Err ends the
-    // connection like any other transport failure.
-    'conn: while let Ok(Some(frame)) = binary::read_frame(&mut reader) {
-        let reply = match frame {
-            RawFrame::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                json_reply(&process_frame(
-                    shared,
-                    &mut owned,
-                    ClientFrame::from_line(&line),
-                ))
-            }
-            RawFrame::Binary(raw) => process_binary(shared, &mut owned, &raw),
+    // A line past the length cap cannot be re-synchronized, so it ends
+    // the connection like any transport failure. A line that is not
+    // UTF-8 was consumed whole and is answered like any malformed frame.
+    loop {
+        let reply = match line::read_line(&mut reader) {
+            Ok(Some(line)) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => match ClientFrame::from_line(&line) {
+                Ok(frame) => process_frame(shared, &mut owned, frame),
+                Err(e) => error(None, e.to_string()),
+            },
+            Err(e @ ReadError::NotUtf8(_)) => error(None, e.to_string()),
+            Ok(None) | Err(_) => break,
         };
-        match tx.try_send(reply) {
+        let mut bytes = reply.to_line().into_bytes();
+        bytes.push(b'\n');
+        match tx.try_send(bytes) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => {
                 // Slow client: its outbound queue is full, so it is not
@@ -542,9 +537,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                     "yf-serve: shedding slow client ({} queued frames)",
                     shared.cfg.outbound_queue
                 );
-                break 'conn;
+                break;
             }
-            Err(TrySendError::Disconnected(_)) => break 'conn,
+            Err(TrySendError::Disconnected(_)) => break,
         }
     }
     drop(tx);
@@ -580,36 +575,14 @@ fn error(session: Option<&str>, message: impl Into<String>) -> ServerFrame {
     }
 }
 
-/// Encodes a reply as a JSON line, newline included.
-fn json_reply(frame: &ServerFrame) -> Vec<u8> {
-    let mut bytes = frame.to_line().into_bytes();
-    bytes.push(b'\n');
-    bytes
-}
-
-/// Handles one binary frame. Data replies mirror the request's dialect
-/// (binary in, binary out); error frames have no binary encoding and
-/// travel as JSON in either dialect.
-fn process_binary(shared: &Shared, owned: &mut HashMap<String, u64>, raw: &[u8]) -> Vec<u8> {
-    let frame = binary::decode(raw)
-        .map_err(proto::ProtoError::from)
-        .and_then(|(tag, payload)| proto::decode_bin_measure(tag, payload));
-    let reply = process_frame(shared, owned, frame);
-    reply.to_binary().unwrap_or_else(|| json_reply(&reply))
-}
-
-/// Handles one client frame, decoded from either dialect.
+/// Handles one client frame.
 fn process_frame(
     shared: &Shared,
     owned: &mut HashMap<String, u64>,
-    frame: Result<ClientFrame, proto::ProtoError>,
+    frame: ClientFrame,
 ) -> ServerFrame {
-    let frame = match frame {
-        Ok(f) => f,
-        Err(e) => return error(None, e.to_string()),
-    };
     match frame {
-        ClientFrame::Open { spec, wire } => process_open(shared, owned, spec, wire),
+        ClientFrame::Open { spec } => process_open(shared, owned, spec),
         ClientFrame::Measure {
             ref session, step, ..
         }
@@ -636,15 +609,7 @@ fn process_frame(
     }
 }
 
-fn process_open(
-    shared: &Shared,
-    owned: &mut HashMap<String, u64>,
-    spec: OpenSpec,
-    wire: WireDialect,
-) -> ServerFrame {
-    // The server speaks both dialects on every connection, so the
-    // capability negotiation is simply an echo: whatever the client
-    // requested is what it gets.
+fn process_open(shared: &Shared, owned: &mut HashMap<String, u64>, spec: OpenSpec) -> ServerFrame {
     let name = spec.session.clone();
     if shared.draining.load(Ordering::SeqCst) {
         return error(Some(&name), "server is draining");
@@ -675,7 +640,6 @@ fn process_open(
         return ServerFrame::Opened {
             session: name,
             step,
-            wire,
         };
     }
     if map.len() >= shared.cfg.max_sessions {
@@ -703,7 +667,6 @@ fn process_open(
     ServerFrame::Opened {
         session: name,
         step,
-        wire,
     }
 }
 

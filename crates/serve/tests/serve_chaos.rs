@@ -95,7 +95,6 @@ fn tight_deadlines() -> ClientConfig {
         connect_timeout: Duration::from_secs(2),
         read_timeout: Duration::from_millis(400),
         write_timeout: Duration::from_secs(2),
-        ..ClientConfig::from_env()
     }
 }
 

@@ -15,7 +15,7 @@ use yellowfin::measurements::GradVariance;
 use yf_serve::registry::yellowfin_config;
 use yf_serve::{
     snapshot, Authority, Client, ClientConfig, ClientError, FilterSpec, MeasureReply, OpenSpec,
-    Outcome, ServeConfig, Server, ServerFrame, Session, WireDialect,
+    Outcome, ServeConfig, Server, ServerFrame, Session,
 };
 use yf_tensor::reduce;
 use yf_tensor::rng::Pcg32;
@@ -143,10 +143,7 @@ fn eight_concurrent_sessions_serve_bitwise_reference_streams() {
     // Eight clients stream interleaved frames into one server; every
     // session's served stream must match its in-process reference
     // bit-for-bit despite the shared compute permits and concurrent
-    // combine calls. Odd clients speak the binary dialect and even ones
-    // JSON, whatever YF_SERVE_WIRE says, and each optimizer runs once
-    // per dialect: the dialect changes the bytes on the wire, never the
-    // trajectory.
+    // combine calls. Each optimizer runs in two of the sessions.
     let dir = temp_dir("concurrent");
     let server = Server::start(ServeConfig {
         snapshot_dir: Some(dir.clone()),
@@ -161,18 +158,8 @@ fn eight_concurrent_sessions_serve_bitwise_reference_streams() {
                 let open = spec(&format!("c{i}"), OPTIMIZERS[i / 2 % OPTIMIZERS.len()]);
                 let frames = stream(100 + i as u64, 50);
                 let want = reference(&open, &frames);
-                let wire = if i % 2 == 1 {
-                    WireDialect::Binary
-                } else {
-                    WireDialect::Json
-                };
-                let cfg = ClientConfig {
-                    wire,
-                    ..ClientConfig::default()
-                };
-                let mut client = Client::connect_with(addr, &cfg).unwrap();
+                let mut client = Client::connect_with(addr, &ClientConfig::default()).unwrap();
                 assert_eq!(client.open(open.clone()).unwrap(), 0);
-                assert_eq!(client.wire(), wire, "session c{i} negotiated its dialect");
                 for (step, (loss, grads)) in frames.iter().enumerate() {
                     let reply = client
                         .measure(&open.session, step as u64, *loss, grads)
@@ -458,10 +445,7 @@ fn duplicated_measure_frames_are_answered_idempotently() {
     let open = spec("dup", "yellowfin");
     let frames = stream(31, 6);
     let want = reference(&open, &frames);
-    send(&yf_serve::ClientFrame::Open {
-        spec: open,
-        wire: yf_serve::WireDialect::Json,
-    });
+    send(&yf_serve::ClientFrame::Open { spec: open });
     assert!(matches!(
         recv(&mut reader),
         ServerFrame::Opened { step: 0, .. }
@@ -591,11 +575,7 @@ fn malformed_frames_answer_with_an_error_and_the_connection_survives() {
         let mut open = spec(&format!("huge-{i}"), "yellowfin");
         open.dim = dim;
         open.filter.window = window;
-        let line = yf_serve::ClientFrame::Open {
-            spec: open,
-            wire: WireDialect::Json,
-        }
-        .to_line();
+        let line = yf_serve::ClientFrame::Open { spec: open }.to_line();
         match roundtrip(&line) {
             ServerFrame::Opened { .. } | ServerFrame::Error { .. } => {}
             other => panic!("expected opened or error for {line:?}, got {other:?}"),
@@ -604,6 +584,25 @@ fn malformed_frames_answer_with_an_error_and_the_connection_survives() {
     // The connection is still serviceable after every rejected frame.
     match roundtrip("{\"type\":\"ping\",\"token\":41}") {
         ServerFrame::Pong { token } => assert_eq!(token, 41),
+        other => panic!("expected pong, got {other:?}"),
+    }
+    // A line that is not UTF-8 is answered like any malformed frame,
+    // and the ping behind it still gets its pong.
+    writer
+        .write_all(b"\xff\xfe not utf8\n{\"type\":\"ping\",\"token\":42}\n")
+        .unwrap();
+    writer.flush().unwrap();
+    let mut next = || {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        ServerFrame::from_line(reply.trim_end()).unwrap()
+    };
+    match next() {
+        ServerFrame::Error { message, .. } => assert!(message.contains("UTF-8"), "{message}"),
+        other => panic!("expected an error frame for a non-UTF-8 line, got {other:?}"),
+    }
+    match next() {
+        ServerFrame::Pong { token } => assert_eq!(token, 42),
         other => panic!("expected pong, got {other:?}"),
     }
     // And the server still hosts new sessions on new connections.
@@ -616,6 +615,52 @@ fn malformed_frames_answer_with_an_error_and_the_connection_survives() {
         .measure("after-abuse", 0, frames[0].0, &frames[0].1)
         .unwrap();
     reply_matches(&reply, &want[0], "measure after the oversized opens");
+}
+
+#[test]
+fn an_open_asking_for_the_binary_dialect_gets_a_plain_opened_and_json_service() {
+    // A client built when the server still spoke a binary dialect asks
+    // for it with "wire":"binary" in its open. Its negotiation reads a
+    // plain opened as "JSON only", so that is exactly what it must get,
+    // and its JSON measurements are served bitwise like any others.
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let stream_tcp = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream_tcp.try_clone().unwrap());
+    let mut writer = stream_tcp;
+    let open = spec("legacy", "yellowfin");
+    let line = yf_serve::ClientFrame::Open { spec: open.clone() }.to_line();
+    let line = line.strip_suffix('}').unwrap();
+    writeln!(writer, "{line},\"wire\":\"binary\"}}").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(
+        reply,
+        "{\"type\":\"opened\",\"session\":\"legacy\",\"step\":0}\n"
+    );
+
+    let frames = stream(17, 3);
+    let want = reference(&open, &frames);
+    for (step, (loss, grads)) in frames.iter().enumerate() {
+        let measure = yf_serve::ClientFrame::Measure {
+            session: "legacy".to_string(),
+            step: step as u64,
+            loss: *loss,
+            grads: grads.clone(),
+        };
+        writeln!(writer, "{}", measure.to_line()).unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        let got = match ServerFrame::from_line(reply.trim_end()).unwrap() {
+            ServerFrame::Tuned {
+                step: t,
+                hyper,
+                clamped,
+                ..
+            } if t == step as u64 => MeasureReply::Tuned { hyper, clamped },
+            other => panic!("step {step}: expected a hyper frame, got {other:?}"),
+        };
+        reply_matches(&got, &want[step], &format!("legacy client step {step}"));
+    }
 }
 
 #[test]

@@ -11,6 +11,9 @@
 //!   a JSON string, written by `yf_tensor::hex`, so NaN payloads, signed
 //!   zeros, and ±inf round-trip bit-for-bit and results merged across
 //!   processes are bitwise identical to in-process ones.
+//! - [`line`](mod@line): the size-capped line reader every yf stream
+//!   is read through; a line that is not UTF-8 is a typed error that
+//!   leaves the stream in sync.
 //! - [`fsio`]: crash-safe file primitives — atomic (tmp + fsync +
 //!   rename) writes and checksum-sealed loads that reject torn files
 //!   with typed errors. Fleet checkpoints/results and serve session
@@ -20,15 +23,10 @@
 //!   Serve session logs and the fleet journal both live behind it.
 //! - [`sigpipe`]: explicit SIGPIPE suppression so a broken pipe is an
 //!   `EPIPE` error to shed, never a process death.
-//! - [`binary`]: the data-path fast lane — length-prefixed binary
-//!   frames (magic + version + tag + LE payload + FNV-1a trailer) that
-//!   coexist with JSON lines on one stream, and the size-capped reader
-//!   for that mixed stream. Control frames stay line JSON; bulk f32
-//!   payloads travel as raw bit patterns.
 
-pub mod binary;
 pub mod fsio;
 pub mod json;
+pub mod line;
 pub mod log;
 pub mod sigpipe;
 

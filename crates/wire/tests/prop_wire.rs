@@ -3,18 +3,17 @@
 //! round-trip bit-exactly as hex strings through the JSON layer, any
 //! string must escape exactly like a per-character reference escaper,
 //! and torn frames/files must be rejected, never silently accepted.
-//! The binary dialect gets the same treatment: framed payloads
-//! round-trip bit-exactly, and every truncation, length
-//! mutation, or checksum flip yields a typed [`binary::BinError`] —
-//! the decoders never panic and never read past the frame.
+//! The line reader under every stream splits any byte stream exactly as
+//! a reference splitter does, and types each line that is not UTF-8
+//! instead of failing the stream on it.
 //!
 //! The float codec itself is `yf_tensor::hex`, pinned in that crate's
 //! `prop_hex` tests; rows here are built inline, in the same format.
 
 use proptest::prelude::*;
-use std::io::Cursor;
-use yf_wire::binary::{self, RawFrame};
+use std::io::{BufReader, Cursor};
 use yf_wire::json::{self, Json};
+use yf_wire::line::{self, ReadError};
 
 /// An `f32` row in the wire format: `{:08x}` per value, joined with `,`.
 fn hex_row(bits: &[u32]) -> String {
@@ -35,6 +34,35 @@ fn stress_char(seed: u32) -> char {
         2 => char::from_u32(0x20 + pick % 0x5f).unwrap(),
         _ => char::from_u32(pick % 0x11_0000).unwrap_or('\u{fffd}'),
     }
+}
+
+/// Bytes drawn to stress the line reader: newlines, carriage returns,
+/// any single byte (often one that cannot stand alone in UTF-8), and
+/// the encodings of [`stress_char`]s.
+fn stress_bytes(seed: u32) -> Vec<u8> {
+    let pick = seed / 8;
+    match seed % 8 {
+        0 | 1 => vec![b'\n'],
+        2 => vec![b'\r'],
+        3 => vec![pick as u8],
+        _ => stress_char(pick).to_string().into_bytes(),
+    }
+}
+
+/// The splitter the line reader must match: split on `\n`, drop the
+/// empty piece after a final newline, and strip each line's trailing
+/// `\r`s.
+fn reference_lines(stream: &[u8]) -> Vec<&[u8]> {
+    let mut lines: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|l| l.is_empty()) {
+        lines.pop();
+    }
+    for l in &mut lines {
+        while let [rest @ .., b'\r'] = *l {
+            *l = rest;
+        }
+    }
+    lines
 }
 
 /// The escaper the writer must match, one character at a time.
@@ -169,81 +197,20 @@ proptest! {
     }
 
     #[test]
-    fn binary_frames_round_trip_any_payload(tag in any::<u8>(),
-                                            payload in prop::collection::vec(any::<u8>(), 0..512)) {
-        let framed = binary::frame(tag, &payload);
-        let (t, p) = binary::decode(&framed).unwrap();
-        prop_assert_eq!(t, tag);
-        prop_assert_eq!(p, &payload[..]);
-        // And through the mixed-dialect reader: one frame, then EOF.
-        let mut reader = Cursor::new(framed.clone());
-        match binary::read_frame(&mut reader).unwrap() {
-            Some(RawFrame::Binary(raw)) => prop_assert_eq!(raw, framed),
-            other => prop_assert!(false, "expected binary frame, got {:?}", other),
-        }
-        prop_assert!(binary::read_frame(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
-    fn mutated_binary_frames_error_typed_but_never_panic(
-        tag in any::<u8>(),
-        payload in prop::collection::vec(any::<u8>(), 0..256),
-        pos_seed in any::<u64>(),
-        byte in any::<u8>(),
-        cut_seed in any::<u64>(),
+    fn lines_read_like_the_reference_and_non_utf8_lines_are_typed(
+        seeds in prop::collection::vec(any::<u32>(), 0..64),
+        capacity in 1usize..16,
     ) {
-        // Every single-byte overwrite (including the length prefix and
-        // the checksum trailer) and every truncation must come back as
-        // a typed error or a different-but-valid frame — never a panic,
-        // and never an over-read past the buffer.
-        let framed = binary::frame(tag, &payload);
-
-        let cut = (cut_seed as usize) % framed.len();
-        prop_assert!(binary::decode(&framed[..cut]).is_err(), "strict prefix must be torn");
-
-        let mut damaged = framed.clone();
-        let pos = (pos_seed as usize) % damaged.len();
-        damaged[pos] = byte;
-        match binary::decode(&damaged) {
-            // A mutation that lands on the payload byte it already had,
-            // or forges a consistent frame, may still decode; anything
-            // else must be one of the typed failures.
-            Ok(_) | Err(_) => {}
+        let stream: Vec<u8> = seeds.iter().flat_map(|&seed| stress_bytes(seed)).collect();
+        // A small buffer makes lines straddle refills, as on a socket.
+        let mut reader = BufReader::with_capacity(capacity, Cursor::new(stream.clone()));
+        for want in reference_lines(&stream) {
+            match (line::read_line(&mut reader), std::str::from_utf8(want)) {
+                (Ok(Some(got)), Ok(want)) => prop_assert_eq!(got, want),
+                (Err(ReadError::NotUtf8(e)), Err(_)) => prop_assert_eq!(e.as_bytes(), want),
+                (got, want) => prop_assert!(false, "got {:?}, reference {:?}", got, want),
+            }
         }
-
-        // The streaming reader on the same damage: reads a frame, hits
-        // a typed framing error, or reports clean EOF — never panics,
-        // never blocks past the buffer.
-        let mut reader = Cursor::new(damaged);
-        let _ = binary::read_frame(&mut reader);
-
-        // Truncation through the reader, too (torn stream => Io error
-        // or a clean EOF when the cut lands on a frame boundary).
-        let mut reader = Cursor::new(framed[..cut].to_vec());
-        let _ = binary::read_frame(&mut reader);
-    }
-
-    #[test]
-    fn oversize_length_prefixes_are_rejected_before_allocation(
-        len_bits in (binary::MAX_PAYLOAD as u32 + 1)..u32::MAX,
-        tag in any::<u8>(),
-    ) {
-        // A forged length prefix above the cap must be rejected from
-        // the 8 header bytes alone — not by attempting the allocation.
-        let mut header = Vec::new();
-        header.extend_from_slice(&binary::MAGIC);
-        header.push(binary::VERSION);
-        header.push(tag);
-        header.extend_from_slice(&len_bits.to_le_bytes());
-        let mut reader = Cursor::new(header.clone());
-        match binary::read_frame(&mut reader) {
-            Err(binary::ReadError::Frame(binary::BinError::Oversize(n))) =>
-                prop_assert_eq!(n, len_bits),
-            other => prop_assert!(false, "expected Oversize, got {:?}", other.is_ok()),
-        }
-        prop_assert!(matches!(
-            binary::decode(&header),
-            Err(binary::BinError::Oversize(_)) | Err(binary::BinError::Truncated { .. })
-        ));
+        prop_assert!(matches!(line::read_line(&mut reader), Ok(None)));
     }
 }
