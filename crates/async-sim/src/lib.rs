@@ -7,12 +7,6 @@
 //! implements exactly that protocol deterministically — the gradient
 //! applied at step `t` was computed on the parameter snapshot of step
 //! `t - tau` — so Figures 1 (right), 4 and 10 are bit-reproducible.
-//!
-//! [`threads`] contains a real multi-threaded Hogwild-style variant with
-//! per-shard parameter locks for demonstration; the simulator is what the
-//! benches use.
-
-pub mod threads;
 
 use std::collections::VecDeque;
 use yf_optim::Optimizer;

@@ -5,9 +5,9 @@
 //! normalization, row-wise layer normalization, fused
 //! softmax-cross-entropy, 2x2 max pooling, and global average pooling.
 //! Every kernel takes a [`Par`] budget (the tape passes its own; tests
-//! pin 1 vs N; plain `usize` converts for back-compat) and clamps it
-//! with [`Par::chunks_for`] so small tensors never pay a dispatch; the
-//! fan-out itself lands on the persistent worker pool.
+//! pin 1 vs N) and clamps it with [`Par::chunks_for`] so small tensors
+//! never pay a dispatch; the fan-out itself lands on the persistent
+//! worker pool.
 //!
 //! Parallel structure: reductions fan out over their *output* rows (one
 //! worker per block of channels, rows, or columns, each accumulating

@@ -62,5 +62,4 @@ pub mod tuner;
 
 pub use closed_loop::{ClosedLoopAdam, ClosedLoopYellowFin, TotalMomentumEstimator};
 pub use measurements::OutlierGate;
-pub use state::RestoreStateError;
 pub use tuner::{ClipMode, TunerCore, YellowFin, YellowFinConfig};

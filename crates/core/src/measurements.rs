@@ -9,6 +9,7 @@
 
 use crate::ema::{Ema, VecEma};
 use std::collections::VecDeque;
+use yf_optim::checkpoint::{OptStateError, StateReader, StateWriter};
 use yf_tensor::parallel::Par;
 
 /// Most window slots [`CurvatureRange::new`] reserves up front. Every
@@ -187,6 +188,12 @@ impl GradVariance {
     pub fn is_initialized(&self) -> bool {
         self.first.is_initialized()
     }
+
+    /// The gradient dimension the moments hold, or `None` before the
+    /// first observation fixes it.
+    pub fn dim(&self) -> Option<usize> {
+        Some(self.first.biased.len()).filter(|&d| d > 0)
+    }
 }
 
 /// Algorithm 4: distance to the optimum of the local quadratic
@@ -319,7 +326,7 @@ impl OutlierGate {
     /// Serializes the gate bit-exactly (versioned text block, the same
     /// dialect as [`crate::tuner::YellowFin::save_state`]).
     pub fn save_state(&self) -> String {
-        let mut w = crate::state::Writer::new();
+        let mut w = StateWriter::versioned();
         w.f64_field("tolerance", self.tolerance);
         w.field("window_width", self.range.width);
         w.f64_field("beta", self.range.log_h_max.beta);
@@ -337,12 +344,16 @@ impl OutlierGate {
     ///
     /// # Errors
     ///
-    /// [`crate::RestoreStateError`] on version mismatch, missing fields,
-    /// or malformed values.
-    pub fn restore_state(text: &str) -> Result<Self, crate::RestoreStateError> {
-        let r = crate::state::Reader::new(text)?;
-        let beta = r.f64("beta")?;
-        let mut gate = OutlierGate::new(r.parse("window_width")?, beta, r.f64("tolerance")?);
+    /// [`OptStateError`] on version mismatch, missing fields, or
+    /// malformed or out-of-range values (those [`OutlierGate::new`]
+    /// would panic on).
+    pub fn restore_state(text: &str) -> Result<Self, OptStateError> {
+        let r = StateReader::versioned(text)?;
+        let tolerance = r.f64("tolerance")?;
+        if !(tolerance.is_finite() && tolerance > 0.0) {
+            return Err(OptStateError::new("tolerance must be positive and finite"));
+        }
+        let mut gate = OutlierGate::new(r.positive("window_width")?, r.beta("beta")?, tolerance);
         gate.range.window = r.f64_vec("window")?.into();
         gate.range.log_h_max.biased = r.f64("log_h_max.biased")?;
         gate.range.log_h_max.correction = r.f64("log_h_max.correction")?;

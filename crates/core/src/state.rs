@@ -6,10 +6,13 @@
 //! §3.3 "large-scale deployment in industry" discussion alludes to).
 //! This module serializes a [`YellowFin`] tuner — or either of its
 //! halves, [`TunerCore`] and [`GradVariance`] — to a small, versioned,
-//! human-readable text block and restores it bit-exactly — no external
-//! serialization crates needed. Floats are hex bit patterns written by
-//! [`yf_tensor::hex`], appended straight into the block; a float with a
-//! sign or the wrong number of digits fails the restore.
+//! human-readable keyed block and restores it bit-exactly. The block is
+//! written and read by the workspace's one state codec,
+//! [`yf_optim::checkpoint`]: floats are hex bit patterns, and a float
+//! with a sign or the wrong number of digits, or a value the tuner's
+//! constructors would refuse (a zero window, a β outside `[0, 1)`, a
+//! buffer that disagrees with `dim`), fails the restore with an
+//! [`OptStateError`] instead of panicking.
 //!
 //! # Example
 //!
@@ -30,139 +33,16 @@
 
 use crate::measurements::{DistanceToOpt, GradVariance};
 use crate::tuner::{ClipMode, TunerCore, YellowFin, YellowFinConfig};
-use std::fmt::{self, Write as _};
+use yf_optim::checkpoint::{check_len, OptStateError, StateReader, StateWriter};
 use yf_optim::ShardedState;
 use yf_tensor::hex;
-
-/// Error from [`YellowFin::restore_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestoreStateError {
-    message: String,
-}
-
-impl RestoreStateError {
-    pub(crate) fn new(message: impl Into<String>) -> Self {
-        RestoreStateError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for RestoreStateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid yellowfin checkpoint: {}", self.message)
-    }
-}
-
-impl std::error::Error for RestoreStateError {}
-
-/// Format version written into every checkpoint.
-pub const STATE_VERSION: u32 = 1;
-
-pub(crate) struct Writer {
-    out: String,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        let mut w = Writer { out: String::new() };
-        w.field("version", STATE_VERSION);
-        w
-    }
-
-    pub(crate) fn field(&mut self, key: &str, value: impl fmt::Display) {
-        let _ = writeln!(self.key(key), "{value}");
-    }
-
-    /// Starts the line of `key`, returning the output for its value.
-    fn key(&mut self, key: &str) -> &mut String {
-        self.out.push_str(key);
-        self.out.push(' ');
-        &mut self.out
-    }
-
-    /// f64 with full round-trip precision (hex bits).
-    pub(crate) fn f64_field(&mut self, key: &str, value: f64) {
-        hex::push_f64(self.key(key), value);
-        self.out.push('\n');
-    }
-
-    pub(crate) fn f64_slice(&mut self, key: &str, values: &[f64]) {
-        hex::push_f64_row(self.key(key), values);
-        self.out.push('\n');
-    }
-
-    pub(crate) fn f32_slice(&mut self, key: &str, values: &[f32]) {
-        hex::push_f32_row(self.key(key), values);
-        self.out.push('\n');
-    }
-
-    pub(crate) fn finish(self) -> String {
-        self.out
-    }
-}
-
-pub(crate) struct Reader<'a> {
-    lines: std::collections::HashMap<&'a str, &'a str>,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(text: &'a str) -> Result<Self, RestoreStateError> {
-        let mut lines = std::collections::HashMap::new();
-        for line in text.lines() {
-            let line = line.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            // A key with an empty value (e.g. an empty list) has no space.
-            let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-            lines.insert(key, value);
-        }
-        let reader = Reader { lines };
-        let version: u32 = reader.parse("version")?;
-        if version != STATE_VERSION {
-            return Err(RestoreStateError::new(format!(
-                "unsupported version {version} (expected {STATE_VERSION})"
-            )));
-        }
-        Ok(reader)
-    }
-
-    pub(crate) fn raw(&self, key: &str) -> Result<&'a str, RestoreStateError> {
-        self.lines
-            .get(key)
-            .copied()
-            .ok_or_else(|| RestoreStateError::new(format!("missing field {key}")))
-    }
-
-    pub(crate) fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, RestoreStateError> {
-        self.raw(key)?
-            .parse::<T>()
-            .map_err(|_| RestoreStateError::new(format!("unparseable field {key}")))
-    }
-
-    pub(crate) fn f64(&self, key: &str) -> Result<f64, RestoreStateError> {
-        hex::f64_unhex(self.raw(key)?)
-            .map_err(|_| RestoreStateError::new(format!("bad f64 bits in {key}")))
-    }
-
-    pub(crate) fn f64_vec(&self, key: &str) -> Result<Vec<f64>, RestoreStateError> {
-        hex::f64_unrow(self.raw(key)?)
-            .map_err(|_| RestoreStateError::new(format!("bad f64 list in {key}")))
-    }
-
-    pub(crate) fn f32_vec(&self, key: &str) -> Result<Vec<f32>, RestoreStateError> {
-        hex::f32_unrow(self.raw(key)?)
-            .map_err(|_| RestoreStateError::new(format!("bad f32 list in {key}")))
-    }
-}
 
 impl YellowFin {
     /// Serializes the complete tuner state (configuration, measurement
     /// averages, sliding window, velocity buffer) to a versioned text
     /// block. The inverse is [`YellowFin::restore_state`].
     pub fn save_state(&self) -> String {
-        let mut w = Writer::new();
+        let mut w = StateWriter::versioned();
         self.core.write_head(&mut w);
         self.variance.write_moments(&mut w);
         self.core.write_smoothers(&mut w);
@@ -170,13 +50,8 @@ impl YellowFin {
         // so checkpoints are independent of the shard plan that produced
         // them.
         w.f32_slice("velocity", &self.velocity.flatten(0));
-        w.field(
-            "dim",
-            self.dim
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "none".into()),
-        );
-        self.core.write_last_norm(&mut w);
+        w.dim("dim", self.dim);
+        w.opt_f64_field("last_norm", self.core.last_norm);
         w.finish()
     }
 
@@ -184,24 +59,24 @@ impl YellowFin {
     ///
     /// # Errors
     ///
-    /// Returns [`RestoreStateError`] on version mismatch, missing fields
-    /// or malformed values.
-    pub fn restore_state(text: &str) -> Result<Self, RestoreStateError> {
-        let r = Reader::new(text)?;
+    /// Returns [`OptStateError`] on version mismatch, missing fields,
+    /// malformed or out-of-range values, or a velocity or moments of a
+    /// length other than the recorded `dim`.
+    pub fn restore_state(text: &str) -> Result<Self, OptStateError> {
+        let r = StateReader::versioned(text)?;
+        let dim = r.dim("dim")?;
+        let velocity = r.buffer("velocity", dim)?;
+        let variance = GradVariance::read(&r)?;
+        check_len("variance.first.biased", variance.first.biased.len(), dim)?;
         let mut tuner = YellowFin {
             core: TunerCore::read(&r)?,
-            variance: GradVariance::read(&r)?,
+            variance,
             velocity: ShardedState::new(1),
-            dim: None,
+            dim,
         };
-        let velocity = r.f32_vec("velocity")?;
         if !velocity.is_empty() {
             tuner.velocity.load_full(vec![velocity]);
         }
-        tuner.dim = match r.raw("dim")? {
-            "none" => None,
-            d => Some(d.parse().map_err(|_| RestoreStateError::new("bad dim"))?),
-        };
         Ok(tuner)
     }
 }
@@ -213,10 +88,10 @@ impl TunerCore {
     /// [`YellowFin::save_state`]. The inverse is
     /// [`TunerCore::restore_state`].
     pub fn save_state(&self) -> String {
-        let mut w = Writer::new();
+        let mut w = StateWriter::versioned();
         self.write_head(&mut w);
         self.write_smoothers(&mut w);
-        self.write_last_norm(&mut w);
+        w.opt_f64_field("last_norm", self.last_norm);
         w.finish()
     }
 
@@ -225,14 +100,14 @@ impl TunerCore {
     ///
     /// # Errors
     ///
-    /// Returns [`RestoreStateError`] on version mismatch, missing fields
-    /// or malformed values.
-    pub fn restore_state(text: &str) -> Result<Self, RestoreStateError> {
-        TunerCore::read(&Reader::new(text)?)
+    /// Returns [`OptStateError`] on version mismatch, missing fields,
+    /// or malformed or out-of-range values.
+    pub fn restore_state(text: &str) -> Result<Self, OptStateError> {
+        TunerCore::read(&StateReader::versioned(text)?)
     }
 
     /// Configuration and curvature window.
-    fn write_head(&self, w: &mut Writer) {
+    fn write_head(&self, w: &mut StateWriter) {
         w.f64_field("cfg.beta", self.cfg.beta);
         w.field("cfg.window", self.cfg.window);
         w.f64_field("cfg.lr_factor", self.cfg.lr_factor);
@@ -242,10 +117,7 @@ impl TunerCore {
             ClipMode::Adaptive => w.field("cfg.clip", "adaptive"),
         }
         w.field("cfg.slow_start", self.cfg.slow_start);
-        match self.cfg.momentum_override {
-            Some(m) => w.f64_field("cfg.momentum_override", m),
-            None => w.field("cfg.momentum_override", "none"),
-        }
+        w.opt_f64_field("cfg.momentum_override", self.cfg.momentum_override);
         w.f64_slice(
             "curvature.window",
             &Vec::from(self.curvature.window.clone()),
@@ -255,7 +127,7 @@ impl TunerCore {
     }
 
     /// Distance and μ/α averages, and the step count.
-    fn write_smoothers(&self, w: &mut Writer) {
+    fn write_smoothers(&self, w: &mut StateWriter) {
         write_ema(w, "distance.grad_norm", &self.distance.grad_norm);
         write_ema(w, "distance.curvature", &self.distance.curvature);
         write_ema(w, "distance.dist", &self.distance.dist);
@@ -264,14 +136,7 @@ impl TunerCore {
         w.field("step_count", self.step_count);
     }
 
-    fn write_last_norm(&self, w: &mut Writer) {
-        match self.last_norm {
-            Some(n) => w.f64_field("last_norm", n),
-            None => w.field("last_norm", "none"),
-        }
-    }
-
-    fn read(r: &Reader<'_>) -> Result<Self, RestoreStateError> {
+    fn read(r: &StateReader<'_>) -> Result<Self, OptStateError> {
         let clip = match r.raw("cfg.clip")? {
             "none" => ClipMode::None,
             "adaptive" => ClipMode::Adaptive,
@@ -279,21 +144,17 @@ impl TunerCore {
                 let t = other
                     .strip_prefix("manual:")
                     .and_then(|b| hex::f32_unhex(b).ok())
-                    .ok_or_else(|| RestoreStateError::new("bad cfg.clip"))?;
+                    .ok_or_else(|| OptStateError::new("bad cfg.clip"))?;
                 ClipMode::Manual(t)
             }
         };
-        let momentum_override = match r.raw("cfg.momentum_override")? {
-            "none" => None,
-            _ => Some(r.f64("cfg.momentum_override")?),
-        };
         let cfg = YellowFinConfig {
-            beta: r.f64("cfg.beta")?,
-            window: r.parse("cfg.window")?,
+            beta: r.beta("cfg.beta")?,
+            window: r.positive("cfg.window")?,
             lr_factor: r.f64("cfg.lr_factor")?,
             clip,
             slow_start: r.parse("cfg.slow_start")?,
-            momentum_override,
+            momentum_override: r.opt_f64("cfg.momentum_override")?,
         };
         let beta = cfg.beta;
         let mut core = TunerCore::new(cfg);
@@ -308,10 +169,7 @@ impl TunerCore {
         core.mu_ema = read_ema(r, "mu_ema", beta)?;
         core.lr_ema = read_ema(r, "lr_ema", beta)?;
         core.step_count = r.parse("step_count")?;
-        core.last_norm = match r.raw("last_norm")? {
-            "none" => None,
-            _ => Some(r.f64("last_norm")?),
-        };
+        core.last_norm = r.opt_f64("last_norm")?;
         Ok(core)
     }
 }
@@ -321,7 +179,7 @@ impl GradVariance {
     /// dialect of [`YellowFin::save_state`]. The inverse is
     /// [`GradVariance::restore_state`].
     pub fn save_state(&self) -> String {
-        let mut w = Writer::new();
+        let mut w = StateWriter::versioned();
         w.f64_field("cfg.beta", self.first.beta);
         self.write_moments(&mut w);
         w.finish()
@@ -332,35 +190,35 @@ impl GradVariance {
     ///
     /// # Errors
     ///
-    /// Returns [`RestoreStateError`] on version mismatch, missing fields,
-    /// malformed values, or moments of different lengths.
-    pub fn restore_state(text: &str) -> Result<Self, RestoreStateError> {
-        GradVariance::read(&Reader::new(text)?)
+    /// Returns [`OptStateError`] on version mismatch, missing fields,
+    /// malformed or out-of-range values, or moments of different lengths.
+    pub fn restore_state(text: &str) -> Result<Self, OptStateError> {
+        GradVariance::read(&StateReader::versioned(text)?)
     }
 
-    fn write_moments(&self, w: &mut Writer) {
+    fn write_moments(&self, w: &mut StateWriter) {
         write_vec_ema(w, "variance.first", &self.first);
         write_vec_ema(w, "variance.second", &self.second);
     }
 
-    fn read(r: &Reader<'_>) -> Result<Self, RestoreStateError> {
-        let beta = r.f64("cfg.beta")?;
+    fn read(r: &StateReader<'_>) -> Result<Self, OptStateError> {
+        let beta = r.beta("cfg.beta")?;
         let first = read_vec_ema(r, "variance.first", beta)?;
         let second = read_vec_ema(r, "variance.second", beta)?;
         if first.biased.len() != second.biased.len() {
-            return Err(RestoreStateError::new("variance moments differ in length"));
+            return Err(OptStateError::new("variance moments differ in length"));
         }
         Ok(GradVariance::from_parts(first, second))
     }
 }
 
-fn write_ema(w: &mut Writer, key: &str, ema: &crate::ema::Ema) {
+fn write_ema(w: &mut StateWriter, key: &str, ema: &crate::ema::Ema) {
     w.f64_field(&format!("{key}.biased"), ema.biased);
     w.f64_field(&format!("{key}.correction"), ema.correction);
     w.field(&format!("{key}.steps"), ema.steps);
 }
 
-fn read_ema(r: &Reader<'_>, key: &str, beta: f64) -> Result<crate::ema::Ema, RestoreStateError> {
+fn read_ema(r: &StateReader<'_>, key: &str, beta: f64) -> Result<crate::ema::Ema, OptStateError> {
     let mut ema = crate::ema::Ema::new(beta);
     ema.biased = r.f64(&format!("{key}.biased"))?;
     ema.correction = r.f64(&format!("{key}.correction"))?;
@@ -368,17 +226,17 @@ fn read_ema(r: &Reader<'_>, key: &str, beta: f64) -> Result<crate::ema::Ema, Res
     Ok(ema)
 }
 
-fn write_vec_ema(w: &mut Writer, key: &str, ema: &crate::ema::VecEma) {
+fn write_vec_ema(w: &mut StateWriter, key: &str, ema: &crate::ema::VecEma) {
     w.f64_slice(&format!("{key}.biased"), &ema.biased);
     w.f64_field(&format!("{key}.correction"), ema.correction);
     w.field(&format!("{key}.steps"), ema.steps);
 }
 
 fn read_vec_ema(
-    r: &Reader<'_>,
+    r: &StateReader<'_>,
     key: &str,
     beta: f64,
-) -> Result<crate::ema::VecEma, RestoreStateError> {
+) -> Result<crate::ema::VecEma, OptStateError> {
     let mut ema = crate::ema::VecEma::new(beta);
     ema.biased = r.f64_vec(&format!("{key}.biased"))?;
     ema.correction = r.f64(&format!("{key}.correction"))?;
@@ -389,6 +247,7 @@ fn read_vec_ema(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measurements::OutlierGate;
     use yf_optim::Optimizer;
 
     fn trained_tuner(steps: usize) -> (YellowFin, Vec<f32>) {
@@ -436,6 +295,16 @@ mod tests {
         assert_eq!(restored.steps(), 0);
     }
 
+    /// `text` with the value of `key` replaced.
+    fn with(text: &str, key: &str, value: &str) -> String {
+        text.lines()
+            .map(|line| match line.split_once(' ') {
+                Some((k, _)) if k == key => format!("{key} {value}\n"),
+                _ => format!("{line}\n"),
+            })
+            .collect()
+    }
+
     #[test]
     fn rejects_garbage_and_wrong_version() {
         assert!(YellowFin::restore_state("not a checkpoint").is_err());
@@ -445,14 +314,6 @@ mod tests {
         assert!(err.to_string().contains("version"));
         // Floats are exactly 8 or 16 hex digits: no sign, no short form.
         let good = YellowFin::default().save_state();
-        let with = |key: &str, value: &str| -> String {
-            good.lines()
-                .map(|line| match line.split_once(' ') {
-                    Some((k, _)) if k == key => format!("{key} {value}\n"),
-                    _ => format!("{line}\n"),
-                })
-                .collect()
-        };
         for (key, bad) in [
             ("cfg.beta", "3dc"),
             ("cfg.beta", "+fefff7ced91687"),
@@ -462,11 +323,11 @@ mod tests {
             ("velocity", "3dcccccd,+3dccccc"),
         ] {
             assert!(
-                YellowFin::restore_state(&with(key, bad)).is_err(),
+                YellowFin::restore_state(&with(&good, key, bad)).is_err(),
                 "{key} {bad}"
             );
         }
-        let upper = YellowFin::restore_state(&with("cfg.clip", "manual:3DCCCCCD")).unwrap();
+        let upper = YellowFin::restore_state(&with(&good, "cfg.clip", "manual:3DCCCCCD")).unwrap();
         assert_eq!(upper.core.cfg.clip, ClipMode::Manual(0.1));
     }
 
@@ -524,6 +385,62 @@ mod tests {
             "variance.second.biased 0000000000000000,",
         );
         assert!(GradVariance::restore_state(&bad).is_err());
+    }
+
+    #[test]
+    fn values_the_constructors_refuse_are_errors_not_panics() {
+        let (opt, _) = trained_tuner(30);
+        let whole = opt.save_state();
+        let core = opt.core.save_state();
+        let moments = opt.variance.save_state();
+        let one = hex::f64_hex(1.0);
+        let negative = hex::f64_hex(-0.5);
+        let nan = hex::f64_hex(f64::NAN);
+        for (key, bad) in [
+            ("cfg.window", "0"),
+            ("cfg.beta", &one[..]),
+            ("cfg.beta", &negative),
+            ("cfg.beta", &nan),
+        ] {
+            assert!(YellowFin::restore_state(&with(&whole, key, bad)).is_err());
+            assert!(TunerCore::restore_state(&with(&core, key, bad)).is_err());
+            if key == "cfg.beta" {
+                assert!(GradVariance::restore_state(&with(&moments, key, bad)).is_err());
+            }
+        }
+        // The velocity and the moments must be `dim` long.
+        let velocity = whole
+            .lines()
+            .find_map(|l| l.strip_prefix("velocity "))
+            .unwrap();
+        let short = &velocity[..velocity.rfind(',').unwrap()];
+        for (key, bad) in [("dim", "0"), ("dim", "4"), ("velocity", short)] {
+            let err = YellowFin::restore_state(&with(&whole, key, bad)).unwrap_err();
+            assert!(err.to_string().contains("dim"), "{key} {bad}: {err}");
+        }
+        let fresh = YellowFin::default().save_state();
+        assert!(YellowFin::restore_state(&with(&fresh, "dim", "3")).is_ok());
+        // The quality gate: a window, a β and a tolerance its
+        // constructor asserts on.
+        let mut gate = OutlierGate::new(20, 0.999, 10.0);
+        gate.admit(1.0);
+        let gate = gate.save_state();
+        let (zero, inf) = (hex::f64_hex(0.0), hex::f64_hex(f64::INFINITY));
+        for (key, bad) in [
+            ("window_width", "0"),
+            ("beta", &one[..]),
+            ("beta", &negative),
+            ("tolerance", &zero),
+            ("tolerance", &negative),
+            ("tolerance", &inf),
+            ("tolerance", &nan),
+        ] {
+            assert!(
+                OutlierGate::restore_state(&with(&gate, key, bad)).is_err(),
+                "{key} {bad}"
+            );
+        }
+        assert!(OutlierGate::restore_state(&with(&gate, "window_width", "3")).is_ok());
     }
 
     #[test]

@@ -385,8 +385,7 @@ impl Optimizer for YellowFin {
         &mut self,
         text: &str,
     ) -> Result<(), yf_optim::checkpoint::OptStateError> {
-        *self = YellowFin::restore_state(text)
-            .map_err(|e| yf_optim::checkpoint::OptStateError::new(e.to_string()))?;
+        *self = YellowFin::restore_state(text)?;
         Ok(())
     }
 

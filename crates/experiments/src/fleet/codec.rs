@@ -1,166 +1,75 @@
 //! Bit-exact serialization of training checkpoints and run results.
 //!
-//! Floats are written as raw bit patterns via [`yf_tensor::hex`] (the
-//! same codec as the optimizer state checkpoints) so a result computed
-//! in a worker process and merged by the coordinator is bitwise
-//! identical to one computed in-process.
+//! Both are ordered files of the workspace's one state codec,
+//! [`yf_optim::checkpoint`]: a header line, then fields in a fixed
+//! order, with floats as [`yf_tensor::hex`] bit patterns, so a result
+//! computed in a worker process and merged by the coordinator is bitwise
+//! identical to one computed in-process. A checkpoint ends with a bare
+//! `opt_state` marker and the optimizer's own checkpoint block.
 
 use crate::trainer::{RunResult, TrainCheckpoint};
-use std::fmt;
-use yf_tensor::hex::{f32_hex, f32_row, f32_unhex, f32_unrow, metric_row, metric_unrow, HexError};
-
-/// Error decoding a checkpoint or result payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CodecError(String);
-
-impl CodecError {
-    fn new(msg: impl Into<String>) -> CodecError {
-        CodecError(msg.into())
-    }
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid fleet payload: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-impl From<HexError> for CodecError {
-    fn from(e: HexError) -> CodecError {
-        CodecError(e.to_string())
-    }
-}
-
-/// Line-oriented `key value` reader over a fixed header.
-struct Fields<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> Fields<'a> {
-    fn new(text: &'a str, header: &str) -> Result<Fields<'a>, CodecError> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(h) if h == header => Ok(Fields { lines }),
-            Some(h) => Err(CodecError::new(format!(
-                "expected header {header:?}, found {h:?}"
-            ))),
-            None => Err(CodecError::new("empty payload")),
-        }
-    }
-
-    fn field(&mut self, key: &str) -> Result<&'a str, CodecError> {
-        let line = self
-            .lines
-            .next()
-            .ok_or_else(|| CodecError::new(format!("truncated before field {key:?}")))?;
-        match line.split_once(' ') {
-            Some((k, v)) if k == key => Ok(v),
-            _ => Err(CodecError::new(format!(
-                "expected field {key:?}, found line {line:?}"
-            ))),
-        }
-    }
-
-    /// The remaining lines (for embedded multi-line blocks), normalized
-    /// to end with a newline — matching what the encoder wrote.
-    fn rest(self) -> String {
-        let mut out = String::new();
-        for line in self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
-}
+use yf_optim::checkpoint::{Fields, OptStateError, StateWriter};
+use yf_tensor::hex::{metric_row, metric_unrow};
 
 const CKPT_HEADER: &str = "yf-fleet-checkpoint v1";
 const RESULT_HEADER: &str = "yf-fleet-result v1";
 
 /// Serializes a [`TrainCheckpoint`] bit-exactly.
 pub fn encode_checkpoint(ckpt: &TrainCheckpoint) -> String {
-    let mut out = String::new();
-    out.push_str(CKPT_HEADER);
-    out.push('\n');
-    out.push_str(&format!("step {}\n", ckpt.step));
-    out.push_str(&format!("base_lr {}\n", f32_hex(ckpt.base_lr)));
-    out.push_str(&format!("params {}\n", f32_row(&ckpt.params)));
-    out.push_str(&format!("losses {}\n", f32_row(&ckpt.losses)));
-    out.push_str(&format!("metrics {}\n", metric_row(&ckpt.metrics)));
-    out.push_str("opt_state\n");
-    out.push_str(&ckpt.opt_state);
-    if !ckpt.opt_state.ends_with('\n') {
-        out.push('\n');
-    }
-    out
+    let mut w = StateWriter::header(CKPT_HEADER);
+    w.field("step", ckpt.step);
+    w.f32_field("base_lr", ckpt.base_lr);
+    w.f32_slice("params", &ckpt.params);
+    w.f32_slice("losses", &ckpt.losses);
+    w.field("metrics", metric_row(&ckpt.metrics));
+    w.marker("opt_state");
+    w.text(&ckpt.opt_state);
+    w.finish()
 }
 
 /// Parses [`encode_checkpoint`] output.
 ///
 /// # Errors
 ///
-/// [`CodecError`] on any structural or bit-pattern mismatch.
-pub fn decode_checkpoint(text: &str) -> Result<TrainCheckpoint, CodecError> {
+/// [`OptStateError`] on any structural or bit-pattern mismatch.
+pub fn decode_checkpoint(text: &str) -> Result<TrainCheckpoint, OptStateError> {
     let mut f = Fields::new(text, CKPT_HEADER)?;
-    let step = f
-        .field("step")?
-        .parse()
-        .map_err(|_| CodecError::new("bad step"))?;
-    let base_lr = f32_unhex(f.field("base_lr")?)?;
-    let params = f32_unrow(f.field("params")?)?;
-    let losses = f32_unrow(f.field("losses")?)?;
+    let step = f.parse("step")?;
+    let base_lr = f.f32("base_lr")?;
+    let params = f.f32_vec("params")?;
+    let losses = f.f32_vec("losses")?;
     let metrics = metric_unrow(f.field("metrics")?)?;
-    // "opt_state" is a bare marker line; everything after it is the
-    // embedded multi-line optimizer state.
-    match f.lines.next() {
-        Some("opt_state") => {}
-        Some(line) => {
-            return Err(CodecError::new(format!(
-                "expected opt_state marker, found {line:?}"
-            )))
-        }
-        None => return Err(CodecError::new("truncated before opt_state")),
-    }
-    let opt_state = f.rest();
-    if opt_state.is_empty() {
-        return Err(CodecError::new("empty opt_state block"));
-    }
+    f.marker("opt_state")?;
     Ok(TrainCheckpoint {
         step,
         base_lr,
         params,
         losses,
         metrics,
-        opt_state,
+        opt_state: f.rest()?,
     })
 }
 
 /// Serializes a [`RunResult`] bit-exactly.
 pub fn encode_result(result: &RunResult) -> String {
-    let mut out = String::new();
-    out.push_str(RESULT_HEADER);
-    out.push('\n');
-    out.push_str(&format!("losses {}\n", f32_row(&result.losses)));
-    out.push_str(&format!("metrics {}\n", metric_row(&result.metrics)));
-    out.push_str(&format!("final_params {}\n", f32_row(&result.final_params)));
-    out
+    let mut w = StateWriter::header(RESULT_HEADER);
+    w.f32_slice("losses", &result.losses);
+    w.field("metrics", metric_row(&result.metrics));
+    w.f32_slice("final_params", &result.final_params);
+    w.finish()
 }
 
 /// Parses [`encode_result`] output.
 ///
 /// # Errors
 ///
-/// [`CodecError`] on any structural or bit-pattern mismatch.
-pub fn decode_result(text: &str) -> Result<RunResult, CodecError> {
+/// [`OptStateError`] on any structural or bit-pattern mismatch.
+pub fn decode_result(text: &str) -> Result<RunResult, OptStateError> {
     let mut f = Fields::new(text, RESULT_HEADER)?;
-    let losses = f32_unrow(f.field("losses")?)?;
-    let metrics = metric_unrow(f.field("metrics")?)?;
-    let final_params = f32_unrow(f.field("final_params")?)?;
     Ok(RunResult {
-        losses,
-        metrics,
-        final_params,
+        losses: f.f32_vec("losses")?,
+        metrics: metric_unrow(f.field("metrics")?)?,
+        final_params: f.f32_vec("final_params")?,
     })
 }
 

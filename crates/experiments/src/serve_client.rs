@@ -73,7 +73,7 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 use yellowfin::measurements::GradVariance;
-use yf_optim::checkpoint::OptStateError;
+use yf_optim::checkpoint::{check_len, Fields, OptStateError, StateWriter};
 use yf_optim::{Hyper, MomentumSgd, Optimizer, ParamShard, StatsPartial};
 use yf_serve::registry::yellowfin_config;
 use yf_serve::{
@@ -612,14 +612,12 @@ impl Optimizer for RemoteTuner {
     /// the step: everything a fresh tuner needs to continue this
     /// trajectory against the same server session.
     fn checkpoint_state(&self) -> Option<String> {
-        let apply = self.apply.checkpoint_state()?;
         let mut snap = self.shadow.snapshot();
         snap.moments = Some(self.moments.save_state());
-        Some(format!(
-            "{CHECKPOINT_HEADER}\napply_lines {}\n{apply}{}",
-            apply.lines().count(),
-            snapshot::encode(&snap)
-        ))
+        let mut w = StateWriter::header(CHECKPOINT_HEADER);
+        w.counted("apply_lines", Some(&self.apply.checkpoint_state()?));
+        w.text(&snapshot::encode(&snap));
+        Some(w.finish())
     }
 
     /// Restores a [`RemoteTuner`] checkpoint. The server session may be
@@ -629,18 +627,11 @@ impl Optimizer for RemoteTuner {
     /// and the shadow serves.
     fn restore_checkpoint(&mut self, text: &str) -> Result<(), OptStateError> {
         let bad = |what: &str| OptStateError::new(format!("remote tuner checkpoint: {what}"));
-        let mut lines = text.split_inclusive('\n');
-        if lines.next().map(str::trim_end) != Some(CHECKPOINT_HEADER) {
-            return Err(bad("bad header"));
-        }
-        let count: usize = lines
-            .next()
-            .and_then(|l| l.strip_prefix("apply_lines "))
-            .and_then(|n| n.trim_end().parse().ok())
-            .ok_or_else(|| bad("bad apply_lines"))?;
-        let apply_text: String = lines.by_ref().take(count).collect();
-        let snap_text: String = lines.collect();
-        let mut snap = snapshot::decode(&snap_text).map_err(|e| bad(&e.to_string()))?;
+        let mut f = Fields::new(text, CHECKPOINT_HEADER)?;
+        let apply_text = f
+            .block("apply_lines")?
+            .ok_or_else(|| bad("no apply block"))?;
+        let mut snap = snapshot::decode(&f.rest()?)?;
         if !snap.spec.matches(&self.spec) {
             return Err(bad("its session spec differs from this tuner's"));
         }
@@ -649,9 +640,12 @@ impl Optimizer for RemoteTuner {
             .moments
             .take()
             .ok_or_else(|| bad("no gradient moments"))?;
-        let moments = GradVariance::restore_state(&moments).map_err(|e| bad(&e.to_string()))?;
+        let moments = GradVariance::restore_state(&moments)?;
         let mut apply = MomentumSgd::new(0.0, 0.0);
         apply.restore_checkpoint(&apply_text)?;
+        let dim = Some(self.spec.dim);
+        check_len("moments", moments.dim().unwrap_or(0), dim)?;
+        check_len("velocity", apply.velocity().len(), dim)?;
         let (step, last) = (snap.step, snap.last.unwrap_or(NO_UPDATE));
         self.shadow = Session::restore(snap).map_err(|e| bad(&e))?;
         self.moments = moments;
@@ -728,6 +722,40 @@ mod tests {
         assert_eq!(remote.learning_rate(), local.learning_rate());
         assert_eq!(remote.degraded_steps(), 0);
         assert!(!remote.degraded());
+        let _ = remote.detach().unwrap();
+    }
+
+    /// Format-freeze pin: a dim-16 remote tuner's checkpoint after 20
+    /// seeded steps. A served trainer's checkpoints resume across builds
+    /// only while these bytes stay the same.
+    #[test]
+    fn checkpoint_bytes_are_frozen() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            snapshot_dir: None,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let dim = 16;
+        let spec = OpenSpec {
+            session: "pin-remote".to_string(),
+            optimizer: "yellowfin".to_string(),
+            value: 1.0,
+            dim,
+            authority: Authority::default(),
+            filter: FilterSpec::default(),
+        };
+        let mut remote = RemoteTuner::connect(server.local_addr(), spec).unwrap();
+        let mut rng = Pcg32::seed(20);
+        let mut params: Vec<f32> = (0..dim).map(|_| rng.normal()).collect();
+        for _ in 0..20 {
+            remote.set_loss(rng.uniform());
+            let grads: Vec<f32> = params.iter().map(|p| p + 0.1 * rng.normal()).collect();
+            remote.step(&mut params, &grads);
+        }
+        let text = remote.checkpoint_state().unwrap();
+        let fnv1a = crate::fleet::fsio::fnv1a(text.as_bytes());
+        assert_eq!((text.len(), fnv1a), (3266, 0x7c42_2759_099a_49cc));
         let _ = remote.detach().unwrap();
     }
 

@@ -14,7 +14,6 @@
 //! translation task of Table 1, and a plain MLP for quickstarts.
 
 mod conv_layers;
-mod gru;
 mod linear;
 mod lstm;
 mod mlp;
@@ -24,7 +23,6 @@ mod resnet;
 mod seq2seq;
 
 pub use conv_layers::{BatchNorm2d, Conv2dLayer};
-pub use gru::{Gru, GruCell};
 pub use linear::{Embedding, Linear};
 pub use lstm::{Lstm, LstmCell, LstmState};
 pub use mlp::Mlp;

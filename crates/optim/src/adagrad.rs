@@ -1,6 +1,6 @@
 //! AdaGrad (Duchi, Hazan & Singer, 2011).
 
-use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
+use crate::checkpoint::{OptStateError, StateReader, StateWriter};
 use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
@@ -72,7 +72,7 @@ impl Optimizer for AdaGrad {
         let mut w = StateWriter::new("adagrad");
         w.f32_field("lr", self.lr);
         w.f32_field("eps", self.eps);
-        write_dim(&mut w, "dim", self.dim);
+        w.dim("dim", self.dim);
         w.f32_slice("accum", &self.state.flatten(0));
         Some(w.finish())
     }
@@ -82,7 +82,7 @@ impl Optimizer for AdaGrad {
         self.lr = r.f32("lr")?;
         self.eps = r.f32("eps")?;
         self.dim = r.dim("dim")?;
-        let accum = r.f32_vec("accum")?;
+        let accum = r.buffer("accum", self.dim)?;
         self.state = ShardedState::new(1);
         if !accum.is_empty() {
             self.state.load_full(vec![accum]);

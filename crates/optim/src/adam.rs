@@ -1,6 +1,6 @@
 //! Adam (Kingma & Ba, 2014) with zero-debiased moments.
 
-use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
+use crate::checkpoint::{OptStateError, StateReader, StateWriter};
 use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
@@ -120,7 +120,7 @@ impl Optimizer for Adam {
         w.f32_field("beta2", self.beta2);
         w.f32_field("eps", self.eps);
         w.field("t", self.t);
-        write_dim(&mut w, "dim", self.dim);
+        w.dim("dim", self.dim);
         w.f32_slice("m", &self.state.flatten(0));
         w.f32_slice("v", &self.state.flatten(1));
         Some(w.finish())
@@ -134,7 +134,7 @@ impl Optimizer for Adam {
         self.eps = r.f32("eps")?;
         self.t = r.parse("t")?;
         self.dim = r.dim("dim")?;
-        let (m, v) = (r.f32_vec("m")?, r.f32_vec("v")?);
+        let (m, v) = (r.buffer("m", self.dim)?, r.buffer("v", self.dim)?);
         if m.len() != v.len() {
             return Err(OptStateError::new("adam: m and v lengths disagree"));
         }

@@ -1,6 +1,6 @@
 //! RMSProp (Tieleman & Hinton, 2012).
 
-use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
+use crate::checkpoint::{OptStateError, StateReader, StateWriter};
 use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
@@ -84,7 +84,7 @@ impl Optimizer for RmsProp {
         w.f32_field("lr", self.lr);
         w.f32_field("decay", self.decay);
         w.f32_field("eps", self.eps);
-        write_dim(&mut w, "dim", self.dim);
+        w.dim("dim", self.dim);
         w.f32_slice("ms", &self.state.flatten(0));
         Some(w.finish())
     }
@@ -95,7 +95,7 @@ impl Optimizer for RmsProp {
         self.decay = r.f32("decay")?;
         self.eps = r.f32("eps")?;
         self.dim = r.dim("dim")?;
-        let ms = r.f32_vec("ms")?;
+        let ms = r.buffer("ms", self.dim)?;
         self.state = ShardedState::new(1);
         if !ms.is_empty() {
             self.state.load_full(vec![ms]);

@@ -1,6 +1,6 @@
 //! Stochastic gradient descent, with and without momentum.
 
-use crate::checkpoint::{write_dim, OptStateError, StateReader, StateWriter};
+use crate::checkpoint::{OptStateError, StateReader, StateWriter};
 use crate::{check_lengths, Hyper, Optimizer, ParamShard, ShardedState, StatsPartial};
 use yf_tensor::elementwise;
 
@@ -47,7 +47,7 @@ impl Optimizer for Sgd {
     fn checkpoint_state(&self) -> Option<String> {
         let mut w = StateWriter::new("sgd");
         w.f32_field("lr", self.lr);
-        write_dim(&mut w, "dim", self.dim);
+        w.dim("dim", self.dim);
         Some(w.finish())
     }
 
@@ -165,7 +165,7 @@ impl Optimizer for MomentumSgd {
         w.f32_field("lr", self.lr);
         w.f32_field("momentum", self.momentum);
         w.field("nesterov", self.nesterov);
-        write_dim(&mut w, "dim", self.dim);
+        w.dim("dim", self.dim);
         w.f32_slice("velocity", &self.velocity.flatten(0));
         Some(w.finish())
     }
@@ -176,7 +176,7 @@ impl Optimizer for MomentumSgd {
         self.momentum = r.f32("momentum")?;
         self.nesterov = r.parse("nesterov")?;
         self.dim = r.dim("dim")?;
-        let velocity = r.f32_vec("velocity")?;
+        let velocity = r.buffer("velocity", self.dim)?;
         self.velocity = ShardedState::new(1);
         if !velocity.is_empty() {
             self.velocity.load_full(vec![velocity]);

@@ -94,6 +94,36 @@ fn restore_rejects_truncated_checkpoints() {
 }
 
 #[test]
+fn restore_refuses_a_dim_a_later_step_would_panic_on() {
+    let mut x = vec![1.0f32, -2.0, 0.5];
+    let mut adam = Adam::new(0.01);
+    let mut momentum = MomentumSgd::new(0.1, 0.9);
+    for t in 0..3 {
+        let g = grad(&x, t);
+        adam.step(&mut x, &g);
+        momentum.step(&mut x, &g);
+    }
+    let adam_text = adam.checkpoint_state().unwrap();
+    let momentum_text = momentum.checkpoint_state().unwrap();
+    // A zero dim, and a dim other than the buffers' length.
+    for (text, opt) in [
+        (&adam_text, &mut Adam::new(0.01) as &mut dyn Optimizer),
+        (&momentum_text, &mut MomentumSgd::new(0.1, 0.9)),
+    ] {
+        for dim in ["dim 0", "dim 4"] {
+            let err = opt
+                .restore_checkpoint(&text.replace("dim 3", dim))
+                .unwrap_err();
+            assert!(err.to_string().contains("dim"), "{dim}: {err}");
+        }
+    }
+    // A velocity row cut short at a value boundary.
+    let row = momentum_text.lines().last().unwrap();
+    let cut = momentum_text.replace(row, &row[..row.rfind(',').unwrap()]);
+    assert!(MomentumSgd::new(0.1, 0.9).restore_checkpoint(&cut).is_err());
+}
+
+#[test]
 fn scheduled_lr_decay_survives_the_round_trip() {
     // The decayed lr is part of the wrapped optimizer's state, so a
     // restore lands at the decayed rate, not the base rate.

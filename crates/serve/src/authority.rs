@@ -88,6 +88,27 @@ impl Authority {
         ]
     }
 
+    /// Checks that `served` lies inside the absolute bounds, as every
+    /// value [`Authority::clamp`] returns does: a restored session's last
+    /// served values are the excursion reference of its next clamp.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason for a value outside the bounds, NaN
+    /// included.
+    pub fn check_inside(&self, served: Hyper) -> Result<(), String> {
+        if (self.lr_min..=self.lr_max).contains(&served.lr)
+            && (self.momentum_min..=self.momentum_max).contains(&served.momentum)
+        {
+            Ok(())
+        } else {
+            Err(format!(
+                "last served lr {} / momentum {} lie outside the authority's bounds",
+                served.lr, served.momentum
+            ))
+        }
+    }
+
     /// Clamps a tuned proposal against the previously applied values
     /// (excursion limits) and the absolute bounds. Returns the applied
     /// hyperparameters and whether the proposal was altered. Non-finite

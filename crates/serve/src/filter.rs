@@ -14,6 +14,7 @@
 //! few steps instead of rejecting forever.
 
 use yellowfin::OutlierGate;
+use yf_optim::checkpoint::OptStateError;
 
 /// Configuration of a session's quality gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,11 +114,10 @@ impl QualityFilter {
     ///
     /// # Errors
     ///
-    /// A human-readable reason when the state text is malformed.
-    pub fn restore_state(text: &str) -> Result<QualityFilter, String> {
-        OutlierGate::restore_state(text)
-            .map(|gate| QualityFilter { gate })
-            .map_err(|e| e.to_string())
+    /// [`OptStateError`] when the state text is malformed or out of
+    /// range.
+    pub fn restore_state(text: &str) -> Result<QualityFilter, OptStateError> {
+        OutlierGate::restore_state(text).map(|gate| QualityFilter { gate })
     }
 }
 

@@ -40,6 +40,7 @@ use crate::registry::{build_optimizer, yellowfin_config};
 use crate::snapshot::SessionSnapshot;
 use yellowfin::measurements::GradVariance;
 use yellowfin::TunerCore;
+use yf_optim::checkpoint::check_len;
 use yf_optim::{Hyper, Optimizer};
 use yf_tensor::reduce;
 
@@ -278,11 +279,17 @@ impl Session {
     /// # Errors
     ///
     /// A human-readable reason when the snapshot is internally
-    /// inconsistent (its spec no longer validates, a state block fails
-    /// to restore, or a baseline snapshot carries moments).
+    /// inconsistent: its spec no longer validates, a state block fails
+    /// to restore, its moments are not of the spec's dimension, a
+    /// baseline snapshot carries moments, or its last served values lie
+    /// outside the authority's bounds.
     pub fn restore(snap: SessionSnapshot) -> Result<Session, String> {
         let mut session = Session::new(snap.spec)?;
-        session.filter = QualityFilter::restore_state(&snap.gate_state)?;
+        if let Some(last) = snap.last {
+            session.spec.authority.check_inside(last)?;
+        }
+        session.filter =
+            QualityFilter::restore_state(&snap.gate_state).map_err(|e| e.to_string())?;
         match &mut session.tuner {
             Tuner::Baseline(opt) => {
                 if snap.moments.is_some() {
@@ -303,6 +310,8 @@ impl Session {
                     .map(GradVariance::restore_state)
                     .transpose()
                     .map_err(|e| e.to_string())?;
+                let len = moments.as_ref().and_then(GradVariance::dim).unwrap_or(0);
+                check_len("moments", len, Some(session.spec.dim)).map_err(|e| e.to_string())?;
             }
         }
         session.step = snap.step;
@@ -551,6 +560,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn restore_refuses_last_values_outside_the_bounds_and_moments_of_another_dim() {
+        let mut s = Session::new(spec("yellowfin")).unwrap();
+        let mut rng = Pcg32::seed(5);
+        for step in 0..5 {
+            s.measure(step, 0.5, &grad(&mut rng, 8, 1.0)).unwrap();
+        }
+        let snap = s.snapshot();
+        assert!(Session::restore(snap.clone()).is_ok());
+        let a = Authority::default();
+        let last = snap.last.unwrap();
+        for bad in [
+            Hyper { lr: -1.0, ..last },
+            Hyper { lr: 0.0, ..last },
+            Hyper {
+                lr: f32::NAN,
+                ..last
+            },
+            Hyper {
+                lr: a.lr_max * 2.0,
+                ..last
+            },
+            Hyper {
+                momentum: 1.0,
+                ..last
+            },
+        ] {
+            let mut bad_snap = snap.clone();
+            bad_snap.last = Some(bad);
+            let err = Session::restore(bad_snap).err().expect("refused");
+            assert!(err.contains("bounds"), "{err}");
+        }
+        let mut other = Session::new(OpenSpec {
+            dim: 4,
+            ..spec("yellowfin")
+        })
+        .unwrap();
+        other.measure(0, 0.5, &grad(&mut rng, 4, 1.0)).unwrap();
+        let mut mixed = snap.clone();
+        mixed.moments = other.snapshot().moments;
+        let err = Session::restore(mixed).err().expect("refused");
+        assert!(err.contains("dim 8"), "{err}");
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! the previous snapshot or a `Torn` seal — never a half state). The
 //! server seals it at the session's first measurement and whenever it
 //! compacts the session's log of later frames, so a snapshot plus that
-//! log is the session's durable state. The payload here is the
-//! line-oriented `key value` format the fleet codec uses, with floats
-//! as [`yf_tensor::hex`] bit patterns.
+//! log is the session's durable state. The payload is an ordered file of
+//! the workspace's one state codec, [`yf_optim::checkpoint`]: written
+//! with its `StateWriter`, read with its `Fields`, with floats as
+//! [`yf_tensor::hex`] bit patterns. Decoding only checks the structure;
+//! [`crate::Session::restore`] refuses values a session could not run
+//! with.
 //!
 //! ## Format v2
 //!
@@ -42,36 +45,12 @@ use crate::authority::Authority;
 use crate::filter::FilterSpec;
 use crate::proto::OpenSpec;
 use crate::session::Outcome;
-use std::fmt;
+use yf_optim::checkpoint::{Fields, OptStateError, StateWriter};
 use yf_optim::Hyper;
-use yf_tensor::hex::{f32_row, f32_unrow, f64_hex, f64_unhex, HexError};
+use yf_tensor::hex::{f32_row, f32_unrow};
 
 const HEADER: &str = "yf-serve-session v2";
 const HEADER_V1: &str = "yf-serve-session v1";
-
-/// Error decoding a snapshot payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotError(String);
-
-impl SnapshotError {
-    fn new(msg: impl Into<String>) -> SnapshotError {
-        SnapshotError(msg.into())
-    }
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid session snapshot: {}", self.0)
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<HexError> for SnapshotError {
-    fn from(e: HexError) -> SnapshotError {
-        SnapshotError(e.to_string())
-    }
-}
 
 /// A session's complete resumable state.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,171 +79,65 @@ pub struct SessionSnapshot {
     pub moments: Option<String>,
 }
 
-/// Appends `text`, newline-terminated.
-fn push_text(out: &mut String, text: &str) {
-    out.push_str(text);
-    if !text.ends_with('\n') {
-        out.push('\n');
-    }
-}
-
-/// Appends `key <line count>` and the block, or `key -` for `None`.
-fn push_counted(out: &mut String, key: &str, block: Option<&str>) {
-    out.push_str(key);
-    match block {
-        None => out.push_str(" -\n"),
-        Some(text) => {
-            out.push_str(&format!(" {}\n", text.lines().count()));
-            push_text(out, text);
-        }
-    }
-}
-
 /// Serializes a snapshot bit-exactly, in format v2.
 pub fn encode(snap: &SessionSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    out.push_str(&format!("session {}\n", snap.spec.session));
-    out.push_str(&format!("optimizer {}\n", snap.spec.optimizer));
-    out.push_str(&format!("value {}\n", f32_row(&[snap.spec.value])));
-    out.push_str(&format!("dim {}\n", snap.spec.dim));
-    out.push_str(&format!("step {}\n", snap.step));
-    let a = &snap.spec.authority;
-    out.push_str(&format!(
-        "authority {}\n",
-        f32_row(&[
+    let spec = &snap.spec;
+    let mut w = StateWriter::header(HEADER);
+    w.field("session", &spec.session);
+    w.field("optimizer", &spec.optimizer);
+    w.f32_field("value", spec.value);
+    w.field("dim", spec.dim);
+    w.field("step", snap.step);
+    let a = &spec.authority;
+    w.f32_slice(
+        "authority",
+        &[
             a.max_lr_step,
             a.max_momentum_step,
             a.lr_min,
             a.lr_max,
             a.momentum_min,
             a.momentum_max,
-        ])
-    ));
-    out.push_str(&format!("filter_window {}\n", snap.spec.filter.window));
-    out.push_str(&format!("filter_beta {}\n", f64_hex(snap.spec.filter.beta)));
-    out.push_str(&format!(
-        "filter_tolerance {}\n",
-        f64_hex(snap.spec.filter.tolerance)
-    ));
+        ],
+    );
+    w.field("filter_window", spec.filter.window);
+    w.f64_field("filter_beta", spec.filter.beta);
+    w.f64_field("filter_tolerance", spec.filter.tolerance);
     match snap.last {
-        Some(h) => out.push_str(&format!(
-            "last {}\n",
-            f32_row(&[h.lr, h.momentum, h.grad_scale])
-        )),
-        None => out.push_str("last -\n"),
+        Some(h) => w.f32_slice("last", &[h.lr, h.momentum, h.grad_scale]),
+        None => w.field("last", "-"),
     }
     match &snap.last_outcome {
-        None => out.push_str("outcome -\n"),
-        Some(Outcome::Tuned { hyper, clamped }) => out.push_str(&format!(
-            "outcome tuned {} {}\n",
-            f32_row(&[hyper.lr, hyper.momentum, hyper.grad_scale]),
-            u8::from(*clamped)
-        )),
+        None => w.field("outcome", "-"),
+        Some(Outcome::Tuned { hyper, clamped }) => w.field(
+            "outcome",
+            format_args!(
+                "tuned {} {}",
+                f32_row(&[hyper.lr, hyper.momentum, hyper.grad_scale]),
+                u8::from(*clamped)
+            ),
+        ),
         // Filter reasons are single-line human text; the field value is
         // the rest of the line, so spaces inside it are fine.
-        Some(Outcome::Rejected { reason }) => {
-            out.push_str(&format!("outcome rejected {reason}\n"));
-        }
+        Some(Outcome::Rejected { reason }) => w.field("outcome", format_args!("rejected {reason}")),
     }
-    push_counted(&mut out, "gate_lines", Some(&snap.gate_state));
-    push_counted(&mut out, "opt_lines", snap.opt_state.as_deref());
+    w.counted("gate_lines", Some(&snap.gate_state));
+    w.counted("opt_lines", snap.opt_state.as_deref());
     match &snap.moments {
         Some(text) => {
-            out.push_str("moments present\n");
-            push_text(&mut out, text);
+            w.field("moments", "present");
+            w.text(text);
         }
-        None => out.push_str("moments none\n"),
+        None => w.field("moments", "none"),
     }
-    out
+    w.finish()
 }
 
-/// Line-oriented `key value` reader (the fleet codec's discipline).
-struct Fields<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> Fields<'a> {
-    /// Reads the header; returns the fields and the format version.
-    fn new(text: &'a str) -> Result<(Fields<'a>, u32), SnapshotError> {
-        let mut lines = text.lines();
-        let version = match lines.next() {
-            Some(HEADER) => 2,
-            Some(HEADER_V1) => 1,
-            Some(h) => {
-                return Err(SnapshotError::new(format!(
-                    "expected header {HEADER:?} or {HEADER_V1:?}, found {h:?}"
-                )))
-            }
-            None => return Err(SnapshotError::new("empty payload")),
-        };
-        Ok((Fields { lines }, version))
-    }
-
-    fn field(&mut self, key: &str) -> Result<&'a str, SnapshotError> {
-        let line = self
-            .lines
-            .next()
-            .ok_or_else(|| SnapshotError::new(format!("truncated before field {key:?}")))?;
-        match line.split_once(' ') {
-            Some((k, v)) if k == key => Ok(v),
-            _ => Err(SnapshotError::new(format!(
-                "expected field {key:?}, found line {line:?}"
-            ))),
-        }
-    }
-
-    /// A block written by [`push_counted`].
-    fn block(&mut self, key: &str) -> Result<Option<String>, SnapshotError> {
-        let nlines: usize = match self.field(key)? {
-            "-" => return Ok(None),
-            n => n
-                .parse()
-                .map_err(|_| SnapshotError::new(format!("bad {key}")))?,
-        };
-        let mut out = String::new();
-        for _ in 0..nlines {
-            let line = self
-                .lines
-                .next()
-                .ok_or_else(|| SnapshotError::new("truncated inside a state block"))?;
-            out.push_str(line);
-            out.push('\n');
-        }
-        Ok(Some(out))
-    }
-
-    /// The `key present` block to the end of the payload, or `None`
-    /// for `key none`.
-    fn trailing(mut self, key: &str) -> Result<Option<String>, SnapshotError> {
-        match self.field(key)? {
-            "none" => {
-                if self.lines.next().is_some() {
-                    return Err(SnapshotError::new("trailing lines after the last block"));
-                }
-                Ok(None)
-            }
-            "present" => {
-                let mut out = String::new();
-                for line in self.lines {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-                if out.is_empty() {
-                    return Err(SnapshotError::new(format!("empty {key} block")));
-                }
-                Ok(Some(out))
-            }
-            other => Err(SnapshotError::new(format!("bad {key} marker {other:?}"))),
-        }
-    }
-}
-
-fn scalar_row(text: &str, want: usize, what: &str) -> Result<Vec<f32>, SnapshotError> {
+/// A row of exactly `want` bit-exact f32s.
+fn scalar_row(text: &str, want: usize, what: &str) -> Result<Vec<f32>, OptStateError> {
     let row = f32_unrow(text)?;
     if row.len() != want {
-        return Err(SnapshotError::new(format!(
+        return Err(OptStateError::new(format!(
             "{what}: expected {want} values, found {}",
             row.len()
         )));
@@ -272,24 +145,27 @@ fn scalar_row(text: &str, want: usize, what: &str) -> Result<Vec<f32>, SnapshotE
     Ok(row)
 }
 
+fn hyper(text: &str, what: &str) -> Result<Hyper, OptStateError> {
+    let h = scalar_row(text, 3, what)?;
+    Ok(Hyper {
+        lr: h[0],
+        momentum: h[1],
+        grad_scale: h[2],
+    })
+}
+
 /// Parses [`encode`] output, or a format-v1 payload.
 ///
 /// # Errors
 ///
-/// [`SnapshotError`] on any structural or bit-pattern mismatch.
-pub fn decode(text: &str) -> Result<SessionSnapshot, SnapshotError> {
-    let (mut f, version) = Fields::new(text)?;
+/// [`OptStateError`] on any structural or bit-pattern mismatch.
+pub fn decode(text: &str) -> Result<SessionSnapshot, OptStateError> {
+    let (mut f, header) = Fields::any_of(text, &[HEADER, HEADER_V1])?;
     let session = f.field("session")?.to_string();
     let optimizer = f.field("optimizer")?.to_string();
-    let value = scalar_row(f.field("value")?, 1, "value")?[0];
-    let dim = f
-        .field("dim")?
-        .parse()
-        .map_err(|_| SnapshotError::new("bad dim"))?;
-    let step = f
-        .field("step")?
-        .parse()
-        .map_err(|_| SnapshotError::new("bad step"))?;
+    let value = f.f32("value")?;
+    let dim = f.parse("dim")?;
+    let step = f.parse("step")?;
     let a = scalar_row(f.field("authority")?, 6, "authority")?;
     let authority = Authority {
         max_lr_step: a[0],
@@ -300,23 +176,13 @@ pub fn decode(text: &str) -> Result<SessionSnapshot, SnapshotError> {
         momentum_max: a[5],
     };
     let filter = FilterSpec {
-        window: f
-            .field("filter_window")?
-            .parse()
-            .map_err(|_| SnapshotError::new("bad filter_window"))?,
-        beta: f64_unhex(f.field("filter_beta")?)?,
-        tolerance: f64_unhex(f.field("filter_tolerance")?)?,
+        window: f.parse("filter_window")?,
+        beta: f.f64("filter_beta")?,
+        tolerance: f.f64("filter_tolerance")?,
     };
     let last = match f.field("last")? {
         "-" => None,
-        row => {
-            let h = scalar_row(row, 3, "last")?;
-            Some(Hyper {
-                lr: h[0],
-                momentum: h[1],
-                grad_scale: h[2],
-            })
-        }
+        row => Some(hyper(row, "last")?),
     };
     let last_outcome = match f.field("outcome")? {
         "-" => None,
@@ -324,32 +190,27 @@ pub fn decode(text: &str) -> Result<SessionSnapshot, SnapshotError> {
             Some(("tuned", rest)) => {
                 let (row, clamped) = rest
                     .rsplit_once(' ')
-                    .ok_or_else(|| SnapshotError::new("bad tuned outcome"))?;
-                let h = scalar_row(row, 3, "outcome")?;
+                    .ok_or_else(|| OptStateError::new("bad tuned outcome"))?;
                 let clamped = match clamped {
                     "0" => false,
                     "1" => true,
-                    _ => return Err(SnapshotError::new("bad outcome clamped flag")),
+                    _ => return Err(OptStateError::new("bad outcome clamped flag")),
                 };
                 Some(Outcome::Tuned {
-                    hyper: Hyper {
-                        lr: h[0],
-                        momentum: h[1],
-                        grad_scale: h[2],
-                    },
+                    hyper: hyper(row, "outcome")?,
                     clamped,
                 })
             }
             Some(("rejected", reason)) => Some(Outcome::Rejected {
                 reason: reason.to_string(),
             }),
-            _ => return Err(SnapshotError::new(format!("bad outcome marker {text:?}"))),
+            _ => return Err(OptStateError::new(format!("bad outcome marker {text:?}"))),
         },
     };
     let gate_state = f
         .block("gate_lines")?
-        .ok_or_else(|| SnapshotError::new("missing gate block"))?;
-    let (opt_state, moments) = if version == 1 {
+        .ok_or_else(|| OptStateError::new("missing gate block"))?;
+    let (opt_state, moments) = if header == HEADER_V1 {
         let opt_state = f.trailing("opt_state")?;
         let moments = if optimizer == "yellowfin" {
             opt_state.clone()

@@ -377,6 +377,50 @@ fn a_compaction_cut_short_before_emptying_the_log_resumes_bitwise() {
 }
 
 #[test]
+fn an_out_of_range_snapshot_draws_an_error_at_open_and_the_server_stays_healthy() {
+    // A sealed snapshot whose gate block holds a window the gate cannot
+    // be built with must be refused at open with an error frame. A panic
+    // there would poison the session table, and with it every later
+    // ping, open and drain.
+    let dir = temp_dir("out-of-range");
+    std::fs::create_dir_all(&dir).unwrap();
+    let frames = stream(77, 3);
+    let bad = spec("bad-gate", "yellowfin");
+    let mut sealed = Session::new(bad.clone()).unwrap();
+    for (step, (loss, grads)) in frames.iter().enumerate() {
+        sealed.measure(step as u64, *loss, grads).unwrap();
+    }
+    let text = snapshot::encode(&sealed.snapshot());
+    let text = text.replace("\nwindow_width 20\n", "\nwindow_width 0\n");
+    assert!(text.contains("\nwindow_width 0\n"));
+    fsio::write_sealed(&dir.join("bad-gate.session"), &text).unwrap();
+    let server = Server::start(ServeConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.open(bad) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("window_width"), "{msg}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // New connections are still served: a ping, then another session.
+    let mut fresh = Client::connect(server.local_addr()).unwrap();
+    fresh.ping(7).unwrap();
+    let mut other = Client::connect(server.local_addr()).unwrap();
+    let healthy = spec("healthy", "yellowfin");
+    let want = reference(&healthy, &frames);
+    assert_eq!(other.open(healthy).unwrap(), 0);
+    for (step, want) in want.iter().enumerate() {
+        let reply = send_frame(&mut other, "healthy", step, &frames, None);
+        reply_matches(&reply, want, &format!("healthy step {step}"));
+    }
+    assert_eq!(other.drain().unwrap(), 1);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn dropped_connection_detaches_sessions_and_reconnect_resumes() {
     // A client that vanishes (no close frame) must not strand its
     // session: the server detaches it with a snapshot and a later

@@ -1,28 +1,20 @@
 //! Asynchronous training with closed-loop YellowFin.
 //!
-//! Part 1 uses the paper's deterministic round-robin protocol (16
-//! workers, gradient staleness 15) to show closed-loop momentum control
-//! beating open-loop YellowFin. Part 2 runs a real multi-threaded
-//! Hogwild-style trainer — parameters split across per-shard locks, the
-//! two-phase optimizer applying shard by shard — to show the same
-//! components in actual parallel execution.
+//! Uses the paper's deterministic round-robin protocol (16 workers,
+//! gradient staleness 15) to compare closed-loop momentum control with
+//! open-loop YellowFin.
 //!
 //! Run with: `cargo run --release --example async_training`
 
-use std::sync::{Arc, Mutex};
 use yellowfin::{ClosedLoopYellowFin, YellowFinConfig};
-use yf_async::threads::{run_threaded, SharedGradFn};
-use yf_data::toy::DiagonalQuadratic;
 use yf_experiments::smoothing::smooth;
 use yf_experiments::trainer::{train_async, RunConfig};
 use yf_experiments::workloads::cifar100_like;
-use yf_optim::MomentumSgd;
 
 const WORKERS: usize = 16;
 
 fn main() {
-    // --- Part 1: deterministic round-robin asynchrony (paper protocol) --
-    println!("part 1: round-robin async (16 workers, staleness 15)\n");
+    println!("round-robin async (16 workers, staleness 15)\n");
     let iters = 600;
     let cfg = RunConfig::plain(iters);
 
@@ -43,31 +35,8 @@ fn main() {
     println!("closed-loop YellowFin final smoothed loss: {closed_final:.4}");
     println!(
         "closed-loop lowered algorithmic momentum to {:.3} (target {:.3}) to absorb\n\
-         asynchrony-induced momentum\n",
+         asynchrony-induced momentum",
         closed_opt.algorithmic_momentum(),
         closed_opt.target_momentum()
     );
-
-    // --- Part 2: real threads on a noisy quadratic ----------------------
-    println!("part 2: threaded Hogwild-style training (4 OS threads, 4 param shards)\n");
-    let quadratic = Arc::new(Mutex::new(DiagonalQuadratic::log_spaced(
-        64, 0.5, 8.0, 0.05, 11,
-    )));
-    let grad_fn: SharedGradFn = Arc::new(move |x: &[f32], _| {
-        let mut q = quadratic.lock().expect("objective lock");
-        let loss = q.loss(x) as f32;
-        (loss, q.grad(x))
-    });
-    // Under real-thread staleness, high algorithmic momentum destabilizes
-    // (the very effect Section 4 compensates for), so the fixed-momentum
-    // baseline here runs with modest constants.
-    let mut opt = MomentumSgd::new(0.005, 0.5);
-    let report = run_threaded(4, 2000, vec![1.0f32; 64], grad_fn, &mut opt, 4);
-    let early: f32 = report.losses[..50].iter().sum::<f32>() / 50.0;
-    let late: f32 = report.losses[report.updates - 50..].iter().sum::<f32>() / 50.0;
-    println!(
-        "applied {} asynchronous updates across 4 threads",
-        report.updates
-    );
-    println!("loss: {early:.4} (first 50 updates) -> {late:.6} (last 50 updates)");
 }
