@@ -39,6 +39,10 @@
 //! The `hex_f32_*` entries time the float
 //! text codec those JSON frames are made of, against the seed
 //! `format!`/`from_str_radix` codec, and gate like every other kernel.
+//! `variance_sweep_1M` times YellowFin's variance sweep alone
+//! (`reduce::ema_update_stats` over 2^20 coordinates in one chunk)
+//! against the per-element-lane loop it replaced, after checking that
+//! both leave the same bits.
 //! The `yf_step_vs_momentum_*` entries time a YellowFin step against a
 //! momentum-SGD step on the same gradient, at 4k and at 1M parameters:
 //! the paper's claim that the tuner's overhead is linear in the model
@@ -171,6 +175,39 @@ fn seed_f32_unrow(text: &str) -> Option<Vec<f32>> {
             _ => None,
         })
         .collect()
+}
+
+/// The block body `reduce::ema_update_stats` had before it walked
+/// 4-element groups, retained as the seed side of `variance_sweep_1M`:
+/// the same expressions, with each element's lane picked as `l[j % 4]`,
+/// which makes the compiler keep the four lanes on the stack.
+fn seed_ema_update_stats(
+    b1: &mut [f64],
+    b2: &mut [f64],
+    xs: &[f32],
+    beta: f64,
+    scale: f64,
+    corr: f64,
+    var_blocks: &mut [f64],
+) {
+    let w = 1.0 - beta;
+    for (bi, ((cx, c1), c2)) in xs
+        .chunks(reduce::BLOCK)
+        .zip(b1.chunks_mut(reduce::BLOCK))
+        .zip(b2.chunks_mut(reduce::BLOCK))
+        .enumerate()
+    {
+        let mut l = [0.0f64; 4];
+        for (j, ((&g, m1), m2)) in cx.iter().zip(c1.iter_mut()).zip(c2.iter_mut()).enumerate() {
+            let x = scale * f64::from(g);
+            *m1 = beta * *m1 + w * x;
+            *m2 = beta * *m2 + w * x * x;
+            let d1 = *m1 / corr;
+            let d2 = *m2 / corr;
+            l[j % 4] += (d2 - d1 * d1).max(0.0);
+        }
+        var_blocks[bi] = (l[0] + l[1]) + (l[2] + l[3]);
+    }
 }
 
 /// The PR 3-era apply half of a step, retained as the seed side of the
@@ -778,6 +815,45 @@ fn main() {
             });
             push(name, new, seed);
         }
+    }
+
+    // --- Algorithm 3's variance sweep alone: `reduce::ema_update_stats`
+    // over 2^20 coordinates in one chunk against the per-element-lane
+    // loop it replaced, sampled alternately. Both must leave the same
+    // moment and block-sum bits. A generator of its own keeps the other
+    // entries' inputs what they were. ---
+    {
+        type Sweep = fn(&mut [f64], &mut [f64], &[f32], f64, f64, f64, &mut [f64]);
+        type Moments = (Vec<f64>, Vec<f64>, Vec<f64>);
+        let n = 1 << 20;
+        let mut rng = Pcg32::seed(19);
+        let grads: Vec<f32> = (0..n).map(|_| rng.normal() * 0.01).collect();
+        let first: Vec<f64> = (0..n).map(|_| f64::from(rng.normal()) * 1e-4).collect();
+        let second = first.iter().map(|m| m * m).collect();
+        let start: Moments = (first, second, vec![0.0; reduce::blocks_for(n)]);
+        let (mut new_state, mut seed_state) = (start.clone(), start);
+        let sweep = |kernel: Sweep, (b1, b2, blocks): &mut Moments| {
+            kernel(b1, b2, &grads, 0.999, 0.5, 0.1, blocks);
+            std::hint::black_box(blocks);
+        };
+        sweep(reduce::ema_update_stats, &mut new_state);
+        sweep(seed_ema_update_stats, &mut seed_state);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (what, new, seed) in [
+            ("first moments", &new_state.0, &seed_state.0),
+            ("second moments", &new_state.1, &seed_state.1),
+            ("block sums", &new_state.2, &seed_state.2),
+        ] {
+            assert!(
+                bits(new) == bits(seed),
+                "the sweep must leave the seed loop's {what}"
+            );
+        }
+        let (new, seed) = paired_median_ns(
+            || sweep(reduce::ema_update_stats, &mut new_state),
+            || sweep(seed_ema_update_stats, &mut seed_state),
+        );
+        push("variance_sweep_1M", new, seed);
     }
 
     // --- The paper's "overhead linear to model dimensionality": one

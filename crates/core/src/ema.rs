@@ -80,7 +80,8 @@ pub struct VecEma {
 
 impl VecEma {
     /// Creates a vector EMA with smoothing factor `beta`. The dimension is
-    /// fixed by the first update.
+    /// fixed by the first sweep of the owning
+    /// [`GradVariance`](crate::measurements::GradVariance).
     ///
     /// # Panics
     ///
@@ -95,47 +96,12 @@ impl VecEma {
         }
     }
 
-    /// Incorporates the elementwise transform `f` of `xs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimension changes between updates.
-    pub fn update_with(&mut self, xs: &[f32], f: impl Fn(f64) -> f64) {
-        if self.biased.is_empty() {
-            self.biased = vec![0.0; xs.len()];
-        }
-        assert_eq!(self.biased.len(), xs.len(), "vec ema: dimension changed");
-        for (b, &x) in self.biased.iter_mut().zip(xs) {
-            *b = self.beta * *b + (1.0 - self.beta) * f(f64::from(x));
-        }
-        self.correction = self.beta * self.correction + (1.0 - self.beta);
-        self.steps += 1;
-    }
-
-    /// Incorporates `xs` directly.
-    pub fn update(&mut self, xs: &[f32]) {
-        self.update_with(xs, |x| x);
-    }
-
-    /// The debiased average of coordinate `i`.
-    pub fn value_at(&self, i: usize) -> f64 {
-        self.biased[i] / self.correction
-    }
-
-    /// Σ of all debiased coordinates through the deterministic blocked
-    /// reduction ([`yf_tensor::reduce::sum_div`]) — replaces the serial
-    /// scalar fold, and matches any block-aligned sharded accumulation of
-    /// the same values bit for bit.
-    pub fn sum_debiased(&self) -> f64 {
-        yf_tensor::reduce::sum_div(&self.biased, self.correction)
-    }
-
-    /// Dimension (0 before the first update).
+    /// Dimension (0 before the first sweep).
     pub fn len(&self) -> usize {
         self.biased.len()
     }
 
-    /// True before the first update.
+    /// True before the first sweep.
     pub fn is_empty(&self) -> bool {
         self.biased.is_empty()
     }
@@ -198,31 +164,5 @@ mod tests {
     #[should_panic(expected = "before first update")]
     fn value_before_update_panics() {
         Ema::new(0.5).value();
-    }
-
-    #[test]
-    fn vec_ema_tracks_each_coordinate() {
-        let mut e = VecEma::new(0.5);
-        e.update(&[1.0, 10.0]);
-        e.update(&[3.0, 30.0]);
-        // Debiased closed form weights observations by beta^(t-i):
-        // (0.5 * x1 + 1.0 * x2) / 1.5.
-        assert!((e.value_at(0) - (0.5 * 1.0 + 3.0) / 1.5).abs() < 1e-9);
-        assert!((e.value_at(1) - (0.5 * 10.0 + 30.0) / 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn vec_ema_sum_debiased() {
-        let mut e = VecEma::new(0.9);
-        e.update(&[1.0, 2.0, 3.0]);
-        assert!((e.sum_debiased() - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension changed")]
-    fn vec_ema_dimension_change_panics() {
-        let mut e = VecEma::new(0.9);
-        e.update(&[1.0]);
-        e.update(&[1.0, 2.0]);
     }
 }

@@ -17,6 +17,17 @@
 //! results from any block-aligned shard plan concatenate into the same
 //! sequence and reduce to the same bits. The sharded optimizer drivers in
 //! `yf-optim` align their observe partitions on this contract.
+//!
+//! Every block body walks its block in whole 4-element groups, one
+//! constant lane index per element of a group, with the ragged tail
+//! continuing lanes `0..rem` (`lane_sum`). Keep it that way: a
+//! per-element lane index such as `l[i % 4] += ..` computes the same
+//! sum, but LLVM then keeps the lanes in memory, so every iteration
+//! reloads what the one before it stored, and the variance sweep ran
+//! ~1.4x slower that way. With constant lane indices the lanes stay in
+//! vector registers and the sweep is bound by the `f64` divider. The
+//! grouped form changes no bit: lane `j` still adds elements `j`,
+//! `j + 4`, ... in order, and each element's expression is untouched.
 
 use crate::parallel::{self, Par};
 
@@ -29,45 +40,33 @@ pub fn blocks_for(len: usize) -> usize {
     len.div_ceil(BLOCK)
 }
 
-#[inline]
-fn lanes_fold(xs: &[f32], mut lane: impl FnMut(usize, f64)) {
-    let mut it = xs.chunks_exact(4);
-    for c in it.by_ref() {
-        lane(0, f64::from(c[0]));
-        lane(1, f64::from(c[1]));
-        lane(2, f64::from(c[2]));
-        lane(3, f64::from(c[3]));
+/// The four-lane sum of one block: lane `j` adds the terms of elements
+/// `j`, `j + 4`, ... in order and the lanes combine as
+/// `(l0 + l1) + (l2 + l3)`. `groups` yields the terms of each whole
+/// 4-element group, `tail` those of the ragged end, which continue lanes
+/// `0..rem`. Walking whole groups with constant lane indices lets the
+/// compiler keep the four lanes in vector registers (see the module doc).
+#[inline(always)]
+fn lane_sum(groups: impl Iterator<Item = [f64; 4]>, tail: impl Iterator<Item = f64>) -> f64 {
+    let mut l = [0.0f64; 4];
+    for t in groups {
+        l[0] += t[0];
+        l[1] += t[1];
+        l[2] += t[2];
+        l[3] += t[3];
     }
-    for (j, &x) in it.remainder().iter().enumerate() {
-        lane(j, f64::from(x));
+    for (j, t) in tail.enumerate() {
+        l[j] += t;
     }
+    (l[0] + l[1]) + (l[2] + l[3])
 }
 
 /// Σ x² over one block (≤ [`BLOCK`] elements), four-lane accumulated.
 #[inline]
 fn sumsq_block(xs: &[f32]) -> f64 {
-    let mut l = [0.0f64; 4];
-    lanes_fold(xs, |j, x| l[j] += x * x);
-    (l[0] + l[1]) + (l[2] + l[3])
-}
-
-/// Σ aᵢ·bᵢ over one block, four-lane accumulated.
-#[inline]
-fn dot_block(a: &[f32], b: &[f32]) -> f64 {
-    let mut l = [0.0f64; 4];
-    let mut it = a.chunks_exact(4).zip(b.chunks_exact(4));
-    let mut n = 0;
-    for (ca, cb) in it.by_ref() {
-        l[0] += f64::from(ca[0]) * f64::from(cb[0]);
-        l[1] += f64::from(ca[1]) * f64::from(cb[1]);
-        l[2] += f64::from(ca[2]) * f64::from(cb[2]);
-        l[3] += f64::from(ca[3]) * f64::from(cb[3]);
-        n += 4;
-    }
-    for (j, (&x, &y)) in a[n..].iter().zip(&b[n..]).enumerate() {
-        l[j] += f64::from(x) * f64::from(y);
-    }
-    (l[0] + l[1]) + (l[2] + l[3])
+    let sq = |x: f32| f64::from(x) * f64::from(x);
+    let (x4, xt) = xs.as_chunks::<4>();
+    lane_sum(x4.iter().map(|g| g.map(sq)), xt.iter().map(|&x| sq(x)))
 }
 
 /// Per-block Σ x² partial sums of `xs`, in block order. `xs` must start
@@ -100,49 +99,6 @@ pub fn sumsq(xs: &[f32]) -> f64 {
         return sumsq_block(xs);
     }
     tree_reduce(&block_sumsq(xs))
-}
-
-/// Deterministic Σ aᵢ·bᵢ with the same block structure as [`sumsq`].
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn dot(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    if a.len() <= BLOCK {
-        return dot_block(a, b);
-    }
-    let sums: Vec<f64> = a
-        .chunks(BLOCK)
-        .zip(b.chunks(BLOCK))
-        .map(|(ca, cb)| dot_block(ca, cb))
-        .collect();
-    tree_reduce(&sums)
-}
-
-/// Deterministic Σ xᵢ/denom over an `f64` slice with the standard block
-/// structure (four lanes per block, tree combine) — the debiased-sum
-/// kernel behind `VecEma::sum_debiased` in the tuner crate.
-pub fn sum_div(xs: &[f64], denom: f64) -> f64 {
-    let block = |c: &[f64]| {
-        let mut l = [0.0f64; 4];
-        let mut it = c.chunks_exact(4);
-        for q in it.by_ref() {
-            l[0] += q[0] / denom;
-            l[1] += q[1] / denom;
-            l[2] += q[2] / denom;
-            l[3] += q[3] / denom;
-        }
-        for (j, &x) in it.remainder().iter().enumerate() {
-            l[j] += x / denom;
-        }
-        (l[0] + l[1]) + (l[2] + l[3])
-    };
-    if xs.len() <= BLOCK {
-        return block(xs);
-    }
-    let sums: Vec<f64> = xs.chunks(BLOCK).map(block).collect();
-    tree_reduce(&sums)
 }
 
 fn check_stats_lens(b1: &[f64], b2: &[f64], xs: &[f32], var_blocks: &[f64]) {
@@ -183,23 +139,39 @@ pub fn ema_update_stats(
 ) {
     check_stats_lens(b1, b2, xs, var_blocks);
     let w = 1.0 - beta;
-    for (bi, ((cx, c1), c2)) in xs
+    let step = |g: f32, m1: &mut f64, m2: &mut f64| {
+        let x = scale * f64::from(g);
+        *m1 = beta * *m1 + w * x;
+        *m2 = beta * *m2 + w * x * x;
+        variance_term(*m1, *m2, corr)
+    };
+    let blocks = xs
         .chunks(BLOCK)
         .zip(b1.chunks_mut(BLOCK))
-        .zip(b2.chunks_mut(BLOCK))
-        .enumerate()
-    {
-        let mut l = [0.0f64; 4];
-        for (j, ((&g, m1), m2)) in cx.iter().zip(c1.iter_mut()).zip(c2.iter_mut()).enumerate() {
-            let x = scale * f64::from(g);
-            *m1 = beta * *m1 + w * x;
-            *m2 = beta * *m2 + w * x * x;
-            let d1 = *m1 / corr;
-            let d2 = *m2 / corr;
-            l[j % 4] += (d2 - d1 * d1).max(0.0);
-        }
-        var_blocks[bi] = (l[0] + l[1]) + (l[2] + l[3]);
+        .zip(b2.chunks_mut(BLOCK));
+    for (((cx, c1), c2), v) in blocks.zip(var_blocks) {
+        let (x4, xt) = cx.as_chunks::<4>();
+        let (m14, m1t) = c1.as_chunks_mut::<4>();
+        let (m24, m2t) = c2.as_chunks_mut::<4>();
+        *v = lane_sum(
+            x4.iter()
+                .zip(m14)
+                .zip(m24)
+                .map(|((g, m1), m2)| std::array::from_fn(|j| step(g[j], &mut m1[j], &mut m2[j]))),
+            xt.iter()
+                .zip(m1t)
+                .zip(m2t)
+                .map(|((&g, m1), m2)| step(g, m1, m2)),
+        );
     }
+}
+
+/// One coordinate's debiased variance `max(0, m2/c − (m1/c)²)`.
+#[inline(always)]
+fn variance_term(m1: f64, m2: f64, corr: f64) -> f64 {
+    let d1 = m1 / corr;
+    let d2 = m2 / corr;
+    (d2 - d1 * d1).max(0.0)
 }
 
 /// The read-only half of [`ema_update_stats`]: recomputes the per-block
@@ -213,14 +185,16 @@ pub fn variance_blocks(b1: &[f64], b2: &[f64], corr: f64, var_blocks: &mut [f64]
         blocks_for(b1.len()),
         "variance blocks: block-sum length"
     );
-    for (bi, (c1, c2)) in b1.chunks(BLOCK).zip(b2.chunks(BLOCK)).enumerate() {
-        let mut l = [0.0f64; 4];
-        for (j, (&m1, &m2)) in c1.iter().zip(c2.iter()).enumerate() {
-            let d1 = m1 / corr;
-            let d2 = m2 / corr;
-            l[j % 4] += (d2 - d1 * d1).max(0.0);
-        }
-        var_blocks[bi] = (l[0] + l[1]) + (l[2] + l[3]);
+    for ((c1, c2), v) in b1.chunks(BLOCK).zip(b2.chunks(BLOCK)).zip(var_blocks) {
+        let ((m14, m1t), (m24, m2t)) = (c1.as_chunks::<4>(), c2.as_chunks::<4>());
+        *v = lane_sum(
+            m14.iter()
+                .zip(m24)
+                .map(|(m1, m2)| std::array::from_fn(|j| variance_term(m1[j], m2[j], corr))),
+            m1t.iter()
+                .zip(m2t)
+                .map(|(&m1, &m2)| variance_term(m1, m2, corr)),
+        );
     }
 }
 
@@ -343,12 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_matches_sumsq_on_self() {
-        let xs: Vec<f32> = (0..2500).map(|i| (i as f32 * 0.11).sin()).collect();
-        assert_eq!(dot(&xs, &xs).to_bits(), sumsq(&xs).to_bits());
-    }
-
-    #[test]
     fn tree_reduce_is_permutation_sensitive_but_fixed() {
         let vals = [1e16, 1.0, -1e16, 1.0];
         // Same input, same result, every time.
@@ -357,49 +325,137 @@ mod tests {
         assert_eq!(tree_reduce(&[5.0]), 5.0);
     }
 
-    #[test]
-    fn ema_update_stats_parallel_is_thread_invariant() {
-        let n = 3 * BLOCK + 100;
-        let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.013).sin() * 2.0).collect();
-        let run = |threads: usize| {
-            let par = Par::threads(threads);
-            let mut b1 = vec![0.0f64; n];
-            let mut b2 = vec![0.0f64; n];
-            let mut totals = Vec::new();
-            let mut corr = 0.0;
-            for _ in 0..3 {
-                corr = 0.9 * corr + 0.1;
-                totals.push(ema_update_stats_parallel(
-                    &mut b1, &mut b2, &xs, 0.9, 1.0, corr, par,
-                ));
-            }
-            (b1, b2, totals)
-        };
-        let base = run(1);
-        for threads in [2, 3, 8] {
-            let got = run(threads);
-            assert_eq!(base.0, got.0, "threads = {threads}: first moments");
-            assert_eq!(base.1, got.1, "threads = {threads}: second moments");
-            assert_eq!(base.2, got.2, "threads = {threads}: variance totals");
+    /// Lengths around the lane and block edges, for the sweep tests.
+    const EDGE_LENS: [usize; 6] = [1, 3, 5, BLOCK - 1, BLOCK + 3, 3 * BLOCK + 7];
+    const BETA: f64 = 0.9;
+    /// The clip scale of each of five consecutive sweeps.
+    const SCALES: [f64; 5] = [1.0, 0.5, 0.37, 1.0, 2.5];
+
+    /// Sweep `t`'s gradient: ordinary values, with every eleventh
+    /// coordinate (shifted per sweep) one of the edge values.
+    fn edge_grads(len: usize, t: usize) -> Vec<f32> {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1), // the smallest f32 subnormal
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        (0..len)
+            .map(|i| match (i + 5 * t) % 11 {
+                0 => specials[(i / 11 + t) % specials.len()],
+                _ => ((i * 37 + t * 13) % 101) as f32 * 0.07 - 3.5,
+            })
+            .collect()
+    }
+
+    /// Moments of a tuner a few steps in, so no sweep starts from zero.
+    fn start_moments(len: usize) -> (Vec<f64>, Vec<f64>) {
+        let m1 = (0..len).map(|i| (i % 7) as f64 * 0.125 - 0.375).collect();
+        let m2 = (0..len).map(|i| (i % 5) as f64 * 0.25).collect();
+        (m1, m2)
+    }
+
+    /// One sweep written out per element: the documented moment updates
+    /// and variance term, added into lane `i % 4` of the element's block,
+    /// lanes combined `(l0 + l1) + (l2 + l3)`. Returns the block sums.
+    fn reference_sweep(
+        b1: &mut [f64],
+        b2: &mut [f64],
+        xs: &[f32],
+        scale: f64,
+        corr: f64,
+    ) -> Vec<f64> {
+        let w = 1.0 - BETA;
+        let mut lanes = vec![[0.0f64; 4]; blocks_for(xs.len())];
+        for (i, &g) in xs.iter().enumerate() {
+            let x = scale * f64::from(g);
+            b1[i] = BETA * b1[i] + w * x;
+            b2[i] = BETA * b2[i] + w * x * x;
+            let d1 = b1[i] / corr;
+            let d2 = b2[i] / corr;
+            lanes[i / BLOCK][i % BLOCK % 4] += (d2 - d1 * d1).max(0.0);
+        }
+        lanes
+            .iter()
+            .map(|l| (l[0] + l[1]) + (l[2] + l[3]))
+            .collect()
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: Rust leaves
+    /// NaN payloads unspecified.
+    fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = if w.is_nan() {
+                g.is_nan()
+            } else {
+                g.to_bits() == w.to_bits()
+            };
+            assert!(same, "{what}[{i}]: {g:e} against the reference {w:e}");
         }
     }
 
+    /// Five sweeps from non-zero moments, along the real debias sequence
+    /// (`corr` is the divisor after each update), with a scale that
+    /// changes between sweeps and gradients holding ±0, a subnormal,
+    /// `f32::MAX`, ±inf and NaN: every chunk count matches the
+    /// per-element reference in moments and total, bit for bit.
+    #[test]
+    fn ema_update_stats_parallel_is_thread_invariant() {
+        for len in EDGE_LENS {
+            for chunks in [1, 2, 3, 8] {
+                let (mut r1, mut r2) = start_moments(len);
+                let (mut b1, mut b2) = (r1.clone(), r2.clone());
+                let mut corr = 1.0 - BETA.powi(3);
+                for (t, scale) in SCALES.into_iter().enumerate() {
+                    corr = BETA * corr + (1.0 - BETA);
+                    let xs = edge_grads(len, t);
+                    let want = tree_reduce(&reference_sweep(&mut r1, &mut r2, &xs, scale, corr));
+                    let par = Par::threads(chunks);
+                    let got =
+                        ema_update_stats_parallel(&mut b1, &mut b2, &xs, BETA, scale, corr, par);
+                    let at = format!("len {len}, {chunks} chunks, sweep {t}");
+                    assert_bits(&format!("{at}: first moments"), &b1, &r1);
+                    assert_bits(&format!("{at}: second moments"), &b2, &r2);
+                    assert_bits(&format!("{at}: variance total"), &[got], &[want]);
+                }
+            }
+        }
+    }
+
+    /// The same five sweeps through the whole-vector kernel: its block
+    /// sums match the per-element reference after every sweep, and
+    /// `variance_blocks`/`variance_total` recompute them from the moments
+    /// bit for bit.
     #[test]
     fn variance_blocks_matches_fused_sweep() {
-        let n = 2 * BLOCK + 9;
-        let xs: Vec<f32> = (0..n).map(|i| ((i * 7) % 23) as f32 - 11.0).collect();
-        let mut b1 = vec![0.0f64; n];
-        let mut b2 = vec![0.0f64; n];
-        let mut fused = vec![0.0f64; blocks_for(n)];
-        let corr = 0.1;
-        ema_update_stats(&mut b1, &mut b2, &xs, 0.9, 1.0, corr, &mut fused);
-        let mut recomputed = vec![0.0f64; blocks_for(n)];
-        variance_blocks(&b1, &b2, corr, &mut recomputed);
-        assert_eq!(fused, recomputed);
-        assert_eq!(
-            tree_reduce(&fused).to_bits(),
-            variance_total(&b1, &b2, corr).to_bits()
-        );
+        for len in EDGE_LENS {
+            let (mut r1, mut r2) = start_moments(len);
+            let (mut b1, mut b2) = (r1.clone(), r2.clone());
+            let mut corr = 1.0 - BETA.powi(3);
+            for (t, scale) in SCALES.into_iter().enumerate() {
+                corr = BETA * corr + (1.0 - BETA);
+                let xs = edge_grads(len, t);
+                let want = reference_sweep(&mut r1, &mut r2, &xs, scale, corr);
+                let mut fused = vec![0.0f64; blocks_for(len)];
+                ema_update_stats(&mut b1, &mut b2, &xs, BETA, scale, corr, &mut fused);
+                let at = format!("len {len}, sweep {t}");
+                assert_bits(&format!("{at}: first moments"), &b1, &r1);
+                assert_bits(&format!("{at}: second moments"), &b2, &r2);
+                assert_bits(&format!("{at}: fused block sums"), &fused, &want);
+                let mut recomputed = vec![0.0f64; blocks_for(len)];
+                variance_blocks(&b1, &b2, corr, &mut recomputed);
+                assert_bits(&format!("{at}: recomputed block sums"), &recomputed, &want);
+                assert_bits(
+                    &format!("{at}: variance total"),
+                    &[variance_total(&b1, &b2, corr)],
+                    &[tree_reduce(&want)],
+                );
+            }
+        }
     }
 
     #[test]

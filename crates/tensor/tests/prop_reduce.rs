@@ -46,26 +46,6 @@ proptest! {
         prop_assert!((reduce::sumsq(&xs) - serial).abs() <= tol);
     }
 
-    #[test]
-    fn dot_matches_serial_fold(xs in grads(2000)) {
-        let ys: Vec<f32> = xs.iter().map(|&x| 0.5 - 0.25 * x).collect();
-        let serial: f64 = xs
-            .iter()
-            .zip(&ys)
-            .map(|(&a, &b)| f64::from(a) * f64::from(b))
-            .sum();
-        let tol = 1e-9 * serial.abs().max(1.0);
-        prop_assert!((reduce::dot(&xs, &ys) - serial).abs() <= tol);
-    }
-
-    #[test]
-    fn sum_div_matches_serial_fold(xs in grads(2000), denom in 0.01f64..10.0) {
-        let vals: Vec<f64> = xs.iter().map(|&x| f64::from(x)).collect();
-        let serial: f64 = vals.iter().map(|&v| v / denom).sum();
-        let tol = 1e-9 * serial.abs().max(1.0);
-        prop_assert!((reduce::sum_div(&vals, denom) - serial).abs() <= tol);
-    }
-
     /// Block-aligned sharding invariance: the per-block partial sums of
     /// any block-aligned split concatenate into the whole-vector block
     /// sums, so a sharded norm equals the whole-vector norm bitwise.
