@@ -40,17 +40,16 @@
 //! [`Scratch`] pool (the autograd tape threads its own through) and a
 //! plain variant using the thread-local pool, so the fused paths
 //! allocate no column buffers in steady state. The one exception is the
-//! column cache: its buffer is owned by the returned [`ColumnCache`]
-//! (dropped with the tape, not returned to the pool), so each caching
-//! forward allocates it afresh — see ROADMAP's column-cache accounting
-//! follow-on for the per-tape budget that would let deep models bound
-//! and recycle this. The original direct loops are
+//! column cache: its buffer is owned by the returned [`ColumnCache`], so
+//! each caching forward allocates it afresh. The tape frees each cache
+//! right after the convolution's weight gradient has run, so a backward
+//! pass holds only the caches of the convolutions it has not reached
+//! yet. The original direct loops are
 //! retained verbatim in [`mod@reference`]; the property tests cross-check the
 //! lowered kernels against them across random shapes, strides, paddings,
 //! groups, and batch sizes.
 
 use crate::im2col::{col2im_batched, im2col_batched, BatchGeom, ColShape, ColsPackNN, ColsPackNT};
-use std::sync::Arc;
 use yf_tensor::parallel::{self, Par};
 use yf_tensor::{gemm, Scratch, Tensor};
 
@@ -192,11 +191,12 @@ impl ConvDims {
 }
 
 /// The batched column matrix a [`conv2d_forward_caching`] call captured,
-/// for reuse by [`conv2d_backward_weight_cached`]. Cheap to clone (the
-/// buffer is shared), so the autograd tape stores it inside the op.
-#[derive(Debug, Clone)]
+/// for reuse by [`conv2d_backward_weight_cached`]. The autograd tape
+/// keeps it inside the convolution's op until the weight gradient has
+/// run.
+#[derive(Debug)]
 pub struct ColumnCache {
-    cols: Arc<Vec<f32>>,
+    cols: Vec<f32>,
 }
 
 impl ColumnCache {
@@ -348,9 +348,7 @@ fn forward_impl(
             &mut cols,
             threads.min(parallel::threads_for(cols_len)),
         );
-        Some(ColumnCache {
-            cols: Arc::new(cols),
-        })
+        Some(ColumnCache { cols })
     } else {
         None
     };

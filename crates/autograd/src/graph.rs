@@ -10,7 +10,7 @@ use yf_tensor::Tensor;
 pub struct NodeId(pub(crate) usize);
 
 /// How a node was produced; carries whatever the backward pass needs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Op {
     Leaf,
     Add(NodeId, NodeId),
@@ -57,8 +57,8 @@ pub(crate) enum Op {
         spec: ConvSpec,
         /// Batched column matrix captured at forward time (when the
         /// weight needs a gradient and the matrix fits the cache budget)
-        /// so the weight-gradient pass skips the re-unroll. Shared, so
-        /// cloning the op descriptor stays cheap.
+        /// so the weight-gradient pass skips the re-unroll. Dropped as
+        /// soon as that pass has run.
         cols: Option<ColumnCache>,
     },
     /// Training-mode batch normalization over `[B, C, H, W]` per channel.
@@ -521,7 +521,21 @@ impl Graph {
         }
     }
 
-    pub(crate) fn accumulate(&mut self, id: NodeId, delta: &Tensor) {
+    /// Adds a newly computed `delta` into node `id`'s gradient, moving it
+    /// into the slot when the slot is empty.
+    pub(crate) fn accumulate(&mut self, id: NodeId, delta: Tensor) {
+        if !self.rg(id) {
+            return;
+        }
+        match &mut self.nodes[id.0].grad {
+            Some(g) => g.axpy_in_place(1.0, &delta),
+            slot @ None => *slot = Some(delta),
+        }
+    }
+
+    /// [`Graph::accumulate`] for a gradient passed through unchanged,
+    /// which its own node keeps: copied only into an empty slot.
+    pub(crate) fn accumulate_copy(&mut self, id: NodeId, delta: &Tensor) {
         if !self.rg(id) {
             return;
         }

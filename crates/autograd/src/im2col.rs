@@ -17,13 +17,24 @@
 //! backward-weight (`op(B) = colsᵀ`) GEMMs straight from the input image
 //! — the unroll *is* the packing pass the GEMM needed anyway. The
 //! materializing [`im2col_batched`] is kept for the tape's column cache
-//! (the backward-weight pass reuses the forward's columns) and produces
-//! bitwise-identical values, since both paths share [`fill_tap_run`].
+//! (the backward-weight pass reuses the forward's columns). Every path
+//! only copies image values or writes zeros, so all of them produce
+//! bitwise-identical columns.
 //!
-//! The unroll walks output rows, not individual taps: each tap row is
-//! filled per output row with one bounds computation, so the padding-free
-//! interior is `copy_from_slice` runs at stride 1 and a tight gather at
-//! larger strides — no per-element padding checks anywhere.
+//! The materializing unroll walks whole planes. Each tap reads a valid
+//! rectangle of output pixels (rows `[oy_lo, oy_hi)` x columns
+//! `[ox_lo, ox_hi)`, computed once per tap); everything around it is
+//! padding. For a stride-1 convolution whose output is as wide as its
+//! input (`2 * padding == KW - 1`, 8 of the fig8 ResNet's 10 convs) the
+//! rectangle's rows lie at the same pitch in the image and in the
+//! column-matrix segment, so one (tap, batch element) segment is one
+//! shifted contiguous copy of the plane; other geometries copy (or, at
+//! stride > 1, gather) one run per valid row. The zeros then go only
+//! where they belong: the rows above and below the rectangle and the
+//! padding columns between its rows. [`col2im_batched`] walks the same
+//! runs backwards, adding each pixel's taps in increasing tap order; its
+//! whole-plane runs mask the padding columns to `+0.0`, which leaves the
+//! bits of its zero-started sums unchanged.
 //!
 //! [`im2col_batched`] parallelizes across tap rows (each row of the
 //! batched matrix is contiguous) and [`col2im_batched`] across the
@@ -59,22 +70,21 @@ impl ColShape {
         self.ho * self.wo
     }
 
-    /// The valid output-x range `[lo, hi)` for tap column `kx`, i.e. the
-    /// `ox` whose input column `ox*stride + kx - padding` lands in
-    /// `[0, w)`. Everything outside is padding.
-    fn ox_range(&self, kx: usize, spec: ConvSpec) -> (usize, usize) {
-        let lo = if kx >= spec.padding {
+    /// The valid output range `[lo, hi)` along one axis for tap offset
+    /// `k`: the `o < n_out` whose input `o*stride + k - padding` lands in
+    /// `[0, n_in)`. Everything outside is padding.
+    fn valid_range(n_in: usize, n_out: usize, k: usize, spec: ConvSpec) -> (usize, usize) {
+        let lo = if k >= spec.padding {
             0
         } else {
-            (spec.padding - kx).div_ceil(spec.stride)
+            (spec.padding - k).div_ceil(spec.stride)
         };
-        let hi = if self.w + spec.padding > kx {
-            self.wo
-                .min((self.w + spec.padding - kx - 1) / spec.stride + 1)
+        let hi = if n_in + spec.padding > k {
+            n_out.min((n_in + spec.padding - k - 1) / spec.stride + 1)
         } else {
             0
         };
-        (lo.min(self.wo), hi.max(lo).min(self.wo))
+        (lo.min(n_out), hi.max(lo).min(n_out))
     }
 }
 
@@ -115,28 +125,64 @@ impl BatchGeom {
     }
 }
 
-/// One tap of the unroll with its column-validity range precomputed, so
-/// the hot packing loops pay the decode and `ox_range` divisions once per
-/// tap instead of once per 32-pixel segment.
+/// One tap of the unroll with its geometry precomputed, so the hot loops
+/// pay the decode and the range divisions once per tap instead of once
+/// per row or segment. Output rows `[oy_lo, oy_hi)` x columns
+/// `[ox_lo, ox_hi)` read the image; everything else is padding.
+///
+/// In one `ho*wo` segment the rectangle spans pixels `[first, last)`,
+/// the first reading image pixel `src0`, and `runs` runs of `run_len`
+/// pixels, `wo` apart, cover it. At stride 1 with `w == wo` the valid
+/// rows sit at the same pitch in the segment and in the image, so the
+/// whole rectangle is one run, padding columns included; otherwise each
+/// valid row is a run. A tap that reads no pixel has no runs.
 #[derive(Debug, Clone, Copy)]
 struct TapInfo {
     ic: usize,
     ky: usize,
     kx: usize,
+    oy_lo: usize,
+    oy_hi: usize,
     ox_lo: usize,
     ox_hi: usize,
+    first: usize,
+    last: usize,
+    src0: usize,
+    runs: usize,
+    run_len: usize,
 }
 
 impl BatchGeom {
     fn tap_info(&self, r: usize) -> TapInfo {
         let (ic, ky, kx) = self.tap(r);
-        let (ox_lo, ox_hi) = self.cs.ox_range(kx, self.spec);
+        let (cs, st, pad) = (self.cs, self.spec.stride, self.spec.padding);
+        let (oy_lo, oy_hi) = ColShape::valid_range(cs.h, cs.ho, ky, self.spec);
+        let (ox_lo, ox_hi) = ColShape::valid_range(cs.w, cs.wo, kx, self.spec);
+        let (first, last, src0, runs, run_len) = if oy_lo == oy_hi || ox_lo == ox_hi {
+            (0, 0, 0, 0, 0)
+        } else {
+            let first = oy_lo * cs.wo + ox_lo;
+            let last = (oy_hi - 1) * cs.wo + ox_hi;
+            let src0 = (oy_lo * st + ky - pad) * cs.w + ox_lo * st + kx - pad;
+            if st == 1 && cs.w == cs.wo {
+                (first, last, src0, 1, last - first)
+            } else {
+                (first, last, src0, oy_hi - oy_lo, ox_hi - ox_lo)
+            }
+        };
         TapInfo {
             ic,
             ky,
             kx,
+            oy_lo,
+            oy_hi,
             ox_lo,
             ox_hi,
+            first,
+            last,
+            src0,
+            runs,
+            run_len,
         }
     }
 }
@@ -196,8 +242,7 @@ fn fill_row_run(
     dstride: usize,
 ) {
     let (st, pad) = (spec.stride, spec.padding);
-    let iy = oy * st + t.ky;
-    if iy < pad || iy - pad >= cs.h {
+    if oy < t.oy_lo || oy >= t.oy_hi {
         if dstride == 1 {
             zero_short(&mut out[..len]);
         } else {
@@ -207,7 +252,8 @@ fn fill_row_run(
         }
         return;
     }
-    let src_row = &plane[(iy - pad) * cs.w..(iy - pad + 1) * cs.w];
+    let iy = oy * st + t.ky - pad;
+    let src_row = &plane[iy * cs.w..(iy + 1) * cs.w];
     let lo = t.ox_lo.clamp(ox0, ox0 + len);
     let hi = t.ox_hi.clamp(lo, ox0 + len);
     for i in 0..lo - ox0 {
@@ -237,37 +283,37 @@ fn fill_row_run(
     }
 }
 
-/// Writes one tap's column-matrix row over output pixels `[q0, q1)` of
-/// one batch element's `plane` at `dstride` spacing (the whole-row case
-/// of [`fill_row_run`], used by the materializing unroll).
-#[allow(clippy::too_many_arguments)]
-fn fill_tap_run(
-    plane: &[f32],
-    cs: ColShape,
-    spec: ConvSpec,
-    t: TapInfo,
-    q0: usize,
-    q1: usize,
-    dst: &mut [f32],
-    dstride: usize,
-) {
-    let mut q = q0;
-    while q < q1 {
-        let (oy, ox0) = (q / cs.wo, q % cs.wo);
-        let len = (cs.wo - ox0).min(q1 - q);
-        fill_row_run(
-            plane,
-            cs,
-            spec,
-            t,
-            oy,
-            ox0,
-            len,
-            &mut dst[(q - q0) * dstride..],
-            dstride,
-        );
-        q += len;
+/// Writes one tap's row of the column matrix for one batch element:
+/// `dst` is the `ho*wo` segment, `plane` that element's `[h, w]` input
+/// channel. The tap's runs are copied (or gathered, at stride > 1), then
+/// everything outside the valid rectangle is zeroed: the rows above and
+/// below it and the padding columns between its rows, which a whole-plane
+/// run carried along from the neighbouring image columns.
+fn fill_segment(plane: &[f32], cs: ColShape, spec: ConvSpec, t: TapInfo, dst: &mut [f32]) {
+    if t.runs == 0 {
+        zero_short(dst);
+        return;
     }
+    let st = spec.stride;
+    for r in 0..t.runs {
+        let d = &mut dst[t.first + r * cs.wo..][..t.run_len];
+        let s = &plane[t.src0 + r * st * cs.w..];
+        if st == 1 {
+            copy_short(d, &s[..t.run_len]);
+        } else {
+            for (i, v) in d.iter_mut().enumerate() {
+                *v = s[i * st];
+            }
+        }
+    }
+    // Past the first row's valid run, each `wo` pixels begin with the
+    // padding columns that separate it from the next row's run.
+    let seam = cs.wo - (t.ox_hi - t.ox_lo);
+    zero_short(&mut dst[..t.first]);
+    for row in dst[t.first + cs.wo - seam..t.last].chunks_exact_mut(cs.wo) {
+        zero_short(&mut row[..seam]);
+    }
+    zero_short(&mut dst[t.last..]);
 }
 
 /// Materializes the batched column matrix `cols: [rows(), bcols()]` for
@@ -283,17 +329,8 @@ pub(crate) fn im2col_batched(x: &[f32], g: BatchGeom, cols: &mut [f32], threads:
     chunks_mut(cols, row_len, Par::threads(threads), |first_row, chunk| {
         for (r_off, row) in chunk.chunks_exact_mut(row_len).enumerate() {
             let t = g.tap_info(first_row + r_off);
-            for bi in 0..g.b {
-                fill_tap_run(
-                    g.plane(x, bi, t.ic),
-                    g.cs,
-                    g.spec,
-                    t,
-                    0,
-                    owo,
-                    &mut row[bi * owo..(bi + 1) * owo],
-                    1,
-                );
+            for (bi, seg) in row.chunks_exact_mut(owo).enumerate() {
+                fill_segment(g.plane(x, bi, t.ic), g.cs, g.spec, t, seg);
             }
         }
     });
@@ -386,45 +423,44 @@ impl PackBPanel for ColsPackNT<'_> {
                     );
                 }
             }
-            for c in cols..nr {
-                for p in 0..kc {
-                    strip[p * nr + c] = 0.0;
+            if cols < nr {
+                for level in strip.chunks_exact_mut(nr) {
+                    zero_short(&mut level[cols..]);
                 }
             }
         }
     }
 }
 
-/// Scatter-adds one tap row segment (`src`: `ho*wo` pixels of one batch
-/// element) back into that element's image `plane`.
-fn scatter_tap_add(
+/// Scatter-adds one tap's segment of the column-gradient matrix (`src`:
+/// the `ho*wo` pixels of one batch element) into that element's image
+/// `plane`, run by run as [`fill_segment`] reads them. `keep` masks the
+/// segment to the tap's valid columns (all bits set inside, clear
+/// outside), so a whole-plane run adds `+0.0` at the padding columns it
+/// spans instead of the gradient parked there.
+fn scatter_segment(
     src: &[f32],
     cs: ColShape,
     spec: ConvSpec,
-    ky: usize,
-    kx: usize,
+    t: TapInfo,
+    keep: &[u32],
     plane: &mut [f32],
 ) {
-    let (st, pad) = (spec.stride, spec.padding);
-    let (ox_lo, ox_hi) = cs.ox_range(kx, spec);
-    for oy in 0..cs.ho {
-        let iy = oy * st + ky;
-        if iy < pad || iy - pad >= cs.h {
-            continue;
-        }
-        let seg = &src[oy * cs.wo..(oy + 1) * cs.wo];
-        let drow = &mut plane[(iy - pad) * cs.w..(iy - pad + 1) * cs.w];
+    let st = spec.stride;
+    for r in 0..t.runs {
+        let at = t.first + r * cs.wo;
+        let g = src[at..][..t.run_len]
+            .iter()
+            .zip(&keep[at..][..t.run_len])
+            .map(|(&v, &m)| f32::from_bits(v.to_bits() & m));
+        let d = &mut plane[t.src0 + r * st * cs.w..];
         if st == 1 {
-            let i0 = ox_lo + kx - pad;
-            for (slot, &g) in drow[i0..i0 + (ox_hi - ox_lo)]
-                .iter_mut()
-                .zip(&seg[ox_lo..ox_hi])
-            {
-                *slot += g;
+            for (slot, v) in d[..t.run_len].iter_mut().zip(g) {
+                *slot += v;
             }
         } else {
-            for (ox, &g) in seg[ox_lo..ox_hi].iter().enumerate() {
-                drow[(ox_lo + ox) * st + kx - pad] += g;
+            for (i, v) in g.enumerate() {
+                d[i * st] += v;
             }
         }
     }
@@ -433,8 +469,13 @@ fn scatter_tap_add(
 /// Scatter-adds the batched column-gradient matrix
 /// `cols: [rows(), bcols()]` back into the image gradient
 /// `dx: [B, Cin, H, W]`: `dx[bi, ic, iy, ix] += cols[(ic,ky,kx),
-/// (bi,oy,ox)]` over every tap that read that pixel. Exact adjoint of
-/// [`im2col_batched`].
+/// (bi,oy,ox)]` over every tap that read that pixel, in increasing tap
+/// order. Exact adjoint of [`im2col_batched`].
+///
+/// `dx` must hold no `-0.0` on entry (the conv backward zero-fills it):
+/// the masked `+0.0` adds of a whole-plane run leave every other value's
+/// bits alone, and a sum that starts at `+0.0` never becomes `-0.0`, so
+/// each pixel gets exactly the bits of adding its real taps in order.
 ///
 /// Each `(bi, ic)` image plane is written by exactly one worker (reading
 /// its channel's tap rows at that batch's column offset), so the scatter
@@ -443,19 +484,34 @@ fn scatter_tap_add(
 pub(crate) fn col2im_batched(cols: &[f32], g: BatchGeom, dx: &mut [f32], threads: usize) {
     debug_assert_eq!(dx.len(), g.b * g.cin * g.cs.h * g.cs.w);
     debug_assert_eq!(cols.len(), g.rows() * g.bcols());
+    debug_assert!(dx.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()));
     let plane_len = g.cs.h * g.cs.w;
     let owo = g.cs.cols();
     let row_len = g.bcols();
-    let taps = g.cs.kh * g.cs.kw;
+    let taps: Vec<TapInfo> = (0..g.cs.kh * g.cs.kw).map(|t| g.tap_info(t)).collect();
+    // One segment-sized column mask per kernel column `kx`.
+    let keep: Vec<u32> = taps[..g.cs.kw]
+        .iter()
+        .flat_map(|t| {
+            (0..owo).map(move |q| {
+                let ox = q % g.cs.wo;
+                if (t.ox_lo..t.ox_hi).contains(&ox) {
+                    u32::MAX
+                } else {
+                    0
+                }
+            })
+        })
+        .collect();
     let par = Par::threads(threads);
     chunks_mut(dx, plane_len, par, |first_plane, chunk| {
         for (p_off, plane) in chunk.chunks_exact_mut(plane_len).enumerate() {
             let p = first_plane + p_off;
             let (bi, ic) = (p / g.cin, p % g.cin);
-            for t in 0..taps {
-                let (ky, kx) = (t / g.cs.kw, t % g.cs.kw);
-                let src = &cols[(ic * taps + t) * row_len + bi * owo..][..owo];
-                scatter_tap_add(src, g.cs, g.spec, ky, kx, plane);
+            for (ti, &t) in taps.iter().enumerate() {
+                let src = &cols[(ic * taps.len() + ti) * row_len + bi * owo..][..owo];
+                let keep = &keep[t.kx * owo..][..owo];
+                scatter_segment(src, g.cs, g.spec, t, keep, plane);
             }
         }
     });
@@ -519,31 +575,114 @@ mod tests {
         cols
     }
 
-    #[test]
-    fn matches_naive_unroll_across_geometries() {
-        for &(b, h, w, kh, kw, stride, padding) in &[
-            (1, 5, 5, 3, 3, 1, 1),
-            (3, 5, 7, 3, 3, 2, 1),
-            (2, 4, 4, 1, 1, 1, 0),
-            (2, 6, 6, 3, 3, 1, 0),
-            (1, 7, 5, 5, 3, 2, 2),
-            (4, 3, 3, 3, 3, 1, 2),
-        ] {
+    /// `(b, h, w, kh, kw, stride, padding)`, two input channels each. The
+    /// stride-1 cases cover both unroll layouts: whole-plane runs when the
+    /// output is as wide as the input (fig8's 10x10 and 5x5 planes, h != w,
+    /// a 2x2 plane under a 5x5 kernel, a 3x5 kernel), and one run per row
+    /// when it is narrower (pad 0 under a 3x3 kernel, pad 1 under 5x5) or
+    /// wider (pad 2 under 3x3, pad 1 under 1x1).
+    const GEOMS: [(usize, usize, usize, usize, usize, usize, usize); 15] = [
+        (1, 5, 5, 3, 3, 1, 1),
+        (3, 5, 7, 3, 3, 2, 1),
+        (2, 4, 4, 1, 1, 1, 0),
+        (2, 6, 6, 3, 3, 1, 0),
+        (1, 7, 5, 5, 3, 2, 2),
+        (4, 3, 3, 3, 3, 1, 2),
+        (3, 10, 10, 3, 3, 1, 1),
+        (3, 4, 7, 3, 3, 1, 1),
+        (1, 7, 4, 5, 5, 1, 2),
+        (1, 2, 2, 5, 5, 1, 2),
+        (3, 5, 4, 3, 5, 1, 2),
+        (1, 6, 5, 3, 3, 1, 0),
+        (3, 6, 5, 5, 5, 1, 1),
+        (3, 3, 5, 1, 1, 1, 1),
+        (1, 3, 4, 3, 3, 1, 2),
+    ];
+
+    fn geoms() -> impl Iterator<Item = (BatchGeom, String)> {
+        GEOMS.iter().map(|&(b, h, w, kh, kw, stride, padding)| {
             let spec = ConvSpec {
                 stride,
                 padding,
                 groups: 1,
             };
-            let g = geom(b, 2, h, w, kh, kw, spec);
-            let x: Vec<f32> = (0..b * 2 * h * w).map(|v| v as f32 + 1.0).collect();
+            let tag = format!("b{b} h{h} w{w} k{kh}x{kw} s{stride} p{padding}");
+            (geom(b, 2, h, w, kh, kw, spec), tag)
+        })
+    }
+
+    #[test]
+    fn matches_naive_unroll_across_geometries() {
+        for (g, tag) in geoms() {
+            let x: Vec<f32> = (0..g.b * g.cin * g.cs.h * g.cs.w)
+                .map(|v| v as f32 + 1.0)
+                .collect();
             let want = unroll_naive(&x, g);
             for threads in [1usize, 2, 4] {
                 let mut got = vec![f32::NAN; want.len()];
                 im2col_batched(&x, g, &mut got, threads);
-                assert_eq!(
-                    got, want,
-                    "b{b} h{h} w{w} k{kh}x{kw} s{stride} p{padding} t{threads}"
-                );
+                assert_eq!(got, want, "{tag} t{threads}");
+            }
+        }
+    }
+
+    /// The scatter as its definition reads: for each image plane, every
+    /// tap in increasing order adds its valid pixels.
+    fn scatter_naive(cols: &[f32], g: BatchGeom) -> Vec<f32> {
+        let cs = g.cs;
+        let owo = cs.cols();
+        let mut dx = vec![0.0f32; g.b * g.cin * cs.h * cs.w];
+        for bi in 0..g.b {
+            for ic in 0..g.cin {
+                for ky in 0..cs.kh {
+                    for kx in 0..cs.kw {
+                        let row = (ic * cs.kh + ky) * cs.kw + kx;
+                        for oy in 0..cs.ho {
+                            for ox in 0..cs.wo {
+                                let iy =
+                                    (oy * g.spec.stride + ky) as isize - g.spec.padding as isize;
+                                let ix =
+                                    (ox * g.spec.stride + kx) as isize - g.spec.padding as isize;
+                                if iy < 0 || ix < 0 || iy >= cs.h as isize || ix >= cs.w as isize {
+                                    continue;
+                                }
+                                dx[((bi * g.cin + ic) * cs.h + iy as usize) * cs.w
+                                    + ix as usize] +=
+                                    cols[row * g.bcols() + bi * owo + oy * cs.wo + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    #[test]
+    fn col2im_matches_naive_scatter_bitwise_on_special_values() {
+        // Gradients holding ±0.0, ±inf and NaN among ordinary values, so
+        // a padding column that leaked into a sum, a masked add that
+        // flipped a sign, or a reordered tap would change bits. NaN
+        // payloads may differ by which operand the hardware propagates,
+        // so two NaNs compare equal.
+        let special = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for (g, tag) in geoms() {
+            let cols: Vec<f32> = (0..g.rows() * g.bcols())
+                .map(|i| match i % 7 {
+                    0 => special[(i / 7) % special.len()],
+                    _ => (i as f32 * 0.73).sin(),
+                })
+                .collect();
+            let want = scatter_naive(&cols, g);
+            for threads in [1usize, 2] {
+                let mut got = vec![0.0f32; want.len()];
+                col2im_batched(&cols, g, &mut got, threads);
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                        "{tag} t{threads} [{i}]: {a:?} vs {b:?}"
+                    );
+                }
             }
         }
     }

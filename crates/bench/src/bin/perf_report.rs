@@ -543,47 +543,84 @@ fn main() {
                 groups: 1,
             },
         ),
+        // The fig8 ResNet's stage-0 shape (4 channels on 10x10 planes),
+        // timed along the tape's path: the caching forward, the input
+        // gradient, and the weight gradient over the cached columns.
+        (
+            "conv2d_fwd_fig8_8x4x10x10",
+            "fwd_caching",
+            &[8, 4, 10, 10],
+            &[4, 4, 3, 3],
+            ConvSpec::same3x3(1),
+        ),
+        (
+            "conv2d_bwd_input_fig8_8x4x10x10",
+            "bwd_input",
+            &[8, 4, 10, 10],
+            &[4, 4, 3, 3],
+            ConvSpec::same3x3(1),
+        ),
+        (
+            "conv2d_bwd_weight_fig8_8x4x10x10",
+            "bwd_weight",
+            &[8, 4, 10, 10],
+            &[4, 4, 3, 3],
+            ConvSpec::same3x3(1),
+        ),
     ];
     for &(name, pass, in_shape, w_shape, spec) in conv_cases {
         let input = Tensor::randn(in_shape, &mut rng);
         let weight = Tensor::randn(w_shape, &mut rng);
         let out = conv::conv2d_forward(&input, &weight, spec);
         let grad = Tensor::randn(out.shape(), &mut rng);
+        let mut scratch = yf_tensor::Scratch::new();
         let (new, seed) = match pass {
-            "fwd" => (
-                median_ns(|| {
+            "fwd" => paired_median_ns(
+                || {
                     std::hint::black_box(conv::conv2d_forward(&input, &weight, spec));
-                }),
-                median_ns(|| {
+                },
+                || {
                     std::hint::black_box(conv_ref::conv2d_forward(&input, &weight, spec));
-                }),
+                },
             ),
-            "bwd_input" => (
-                median_ns(|| {
+            "fwd_caching" => paired_median_ns(
+                || {
+                    std::hint::black_box(conv::conv2d_forward_caching(
+                        &input,
+                        &weight,
+                        spec,
+                        &mut scratch,
+                    ));
+                },
+                || {
+                    std::hint::black_box(conv_ref::conv2d_forward(&input, &weight, spec));
+                },
+            ),
+            "bwd_input" => paired_median_ns(
+                || {
                     std::hint::black_box(conv::conv2d_backward_input(
                         input.shape(),
                         &weight,
                         &grad,
                         spec,
                     ));
-                }),
-                median_ns(|| {
+                },
+                || {
                     std::hint::black_box(conv_ref::conv2d_backward_input(
                         input.shape(),
                         &weight,
                         &grad,
                         spec,
                     ));
-                }),
+                },
             ),
             _ => {
                 // The training-pipeline cost: the tape caches the batched
                 // column matrix at forward time, so backward-weight is
                 // one NT GEMM over the cached columns.
-                let mut scratch = yf_tensor::Scratch::new();
                 let (_, cache) = conv::conv2d_forward_caching(&input, &weight, spec, &mut scratch);
-                (
-                    median_ns(|| {
+                paired_median_ns(
+                    || {
                         std::hint::black_box(conv::conv2d_backward_weight_cached(
                             &input,
                             weight.shape(),
@@ -592,15 +629,15 @@ fn main() {
                             &mut scratch,
                             cache.as_ref(),
                         ));
-                    }),
-                    median_ns(|| {
+                    },
+                    || {
                         std::hint::black_box(conv_ref::conv2d_backward_weight(
                             &input,
                             weight.shape(),
                             &grad,
                             spec,
                         ));
-                    }),
+                    },
                 )
             }
         };
@@ -620,22 +657,24 @@ fn main() {
         let weight = Tensor::randn(&[16, 16, 3, 3], &mut rng);
         let out = conv::conv2d_forward(&input, &weight, spec);
         let grad = Tensor::randn(out.shape(), &mut rng);
-        let new = median_ns(|| {
-            std::hint::black_box(conv::conv2d_backward_weight(
-                &input,
-                weight.shape(),
-                &grad,
-                spec,
-            ));
-        });
-        let seed = median_ns(|| {
-            std::hint::black_box(conv_ref::conv2d_backward_weight(
-                &input,
-                weight.shape(),
-                &grad,
-                spec,
-            ));
-        });
+        let (new, seed) = paired_median_ns(
+            || {
+                std::hint::black_box(conv::conv2d_backward_weight(
+                    &input,
+                    weight.shape(),
+                    &grad,
+                    spec,
+                ));
+            },
+            || {
+                std::hint::black_box(conv_ref::conv2d_backward_weight(
+                    &input,
+                    weight.shape(),
+                    &grad,
+                    spec,
+                ));
+            },
+        );
         push("conv2d_bwd_weight_reunroll_8x16x32x32", new, seed);
     }
 

@@ -191,19 +191,38 @@ impl PackBPanel for SliceB<'_> {
             let cols = nr.min(col0 + nc - j0);
             if self.trans {
                 // B is stored [n, k]: a column of op(B) is a contiguous
-                // row. Read each row once, front to back, and scatter
-                // into the strip — the transpose happens on the write
-                // side, where the working set is one L1-resident strip,
-                // instead of as a huge-stride gather on the read side.
-                for c in 0..cols {
-                    let src = &self.b[(j0 + c) * self.ldb + pc..][..kc];
-                    for (p, &v) in src.iter().enumerate() {
+                // row. Transpose 4 rows x 4 levels at a time, so every
+                // read and every write is a 4-float run, where a
+                // float-at-a-time scatter writes one float per `nr`-float
+                // level. Ragged levels and columns go one float at a
+                // time, and the zero tail is written level by level.
+                let row = |c: usize| &self.b[(j0 + c) * self.ldb + pc..][..kc];
+                let (quads, whole) = (cols / 4 * 4, kc / 4 * 4);
+                for c in (0..quads).step_by(4) {
+                    let r: [&[f32]; 4] = std::array::from_fn(|i| row(c + i));
+                    for p in (0..whole).step_by(4) {
+                        let blk: [&[f32; 4]; 4] =
+                            std::array::from_fn(|i| r[i][p..p + 4].try_into().unwrap());
+                        for q in 0..4 {
+                            let d: &mut [f32; 4] =
+                                (&mut strip[(p + q) * nr + c..][..4]).try_into().unwrap();
+                            *d = [blk[0][q], blk[1][q], blk[2][q], blk[3][q]];
+                        }
+                    }
+                    for p in whole..kc {
+                        for (i, ri) in r.iter().enumerate() {
+                            strip[p * nr + c + i] = ri[p];
+                        }
+                    }
+                }
+                for c in quads..cols {
+                    for (p, &v) in row(c).iter().enumerate() {
                         strip[p * nr + c] = v;
                     }
                 }
-                for c in cols..nr {
-                    for p in 0..kc {
-                        strip[p * nr + c] = 0.0;
+                if cols < nr {
+                    for level in strip.chunks_exact_mut(nr) {
+                        zero_short(&mut level[cols..]);
                     }
                 }
             } else {

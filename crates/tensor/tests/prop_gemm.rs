@@ -78,6 +78,37 @@ proptest! {
     }
 
     #[test]
+    fn transposed_layouts_equal_nn_on_transposed_copies_bitwise(
+        m in 1usize..40, n in 1usize..80, k in 1usize..70, s in any::<u64>()
+    ) {
+        // GEMM bits depend only on the packed panels, the kc slab
+        // boundaries and the FMA chain, so every layout must give the nn
+        // call's bits. Small blocks make several K slabs, A blocks and B
+        // panels; nc = 40 leaves a ragged strip inside a panel, n below the
+        // micro-tile width a ragged strip alone, and kc = 18 ragged level
+        // groups inside every slab.
+        let bl = gemm::Blocks { mc: 12, kc: 18, nc: 40 };
+        let a = buf(m * k, s);
+        let b = buf(k * n, s.wrapping_add(11));
+        let at = transposed(&a, m, k); // stored [k, m]
+        let bt = transposed(&b, k, n); // stored [n, k]
+        let mut want = vec![0.0f32; m * n];
+        gemm::gemm_with_blocks(false, false, m, n, k, &a, &b, 0.0, &mut want, 1, bl);
+        for (ta, tb) in [(true, false), (false, true), (true, true)] {
+            let ao = if ta { &at } else { &a };
+            let bo = if tb { &bt } else { &b };
+            for threads in [1, 3] {
+                let mut c = vec![0.0f32; m * n];
+                gemm::gemm_with_blocks(ta, tb, m, n, k, ao, bo, 0.0, &mut c, threads, bl);
+                prop_assert!(
+                    c.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "ta={ta} tb={tb} {m}x{n}x{k} t{threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn beta_one_accumulates(
         m in 1usize..24, n in 1usize..24, k in 1usize..32, s in any::<u64>()
     ) {
